@@ -34,7 +34,7 @@ fn cache_capacity(c: &mut Criterion) {
             b.iter(|| {
                 for plans in &plan_sets {
                     let capped = w::cap_ctssn_size(plans, 5);
-                    let res = exec::all_plans(&xk.db, &xk.catalog(), &capped, mode);
+                    let res = w::run(&xk, &ExecRequest::all(&capped, Join::NestedLoop(mode)));
                     std::hint::black_box(res.rows.len());
                 }
             })
@@ -60,7 +60,7 @@ fn cross_cn_reuse(c: &mut Criterion) {
             for plans in &plan_sets {
                 let capped = w::cap_ctssn_size(plans, 5);
                 // all_plans shares one cache across plans.
-                let res = exec::all_plans(&xk.db, &xk.catalog(), &capped, w::cached());
+                let res = w::run(&xk, &ExecRequest::all(&capped, w::cached_join()));
                 std::hint::black_box(res.rows.len());
             }
         })

@@ -23,7 +23,6 @@
 #![allow(clippy::disallowed_macros)] // printing is this target's interface
 use std::time::Instant;
 use xkw_bench::workload::{self as w, Config};
-use xkw_core::exec;
 use xkw_core::postings::PostingsFormatKind;
 use xkw_core::prelude::*;
 use xkw_core::target::TargetGraph;
@@ -85,7 +84,7 @@ fn main() {
             .collect();
         let batch = || {
             for plans in &plan_sets {
-                let res = exec::topk(&xk.db, &xk.catalog(), plans, w::cached(), 20, 1);
+                let res = w::run(&xk, &ExecRequest::topk(plans, w::cached_join(), 20));
                 std::hint::black_box(res.rows.len());
             }
         };

@@ -25,8 +25,7 @@
 #![allow(clippy::disallowed_macros)] // printing is this target's interface
 use std::time::Instant;
 use xkw_bench::workload::{self as w, Config};
-use xkw_core::exec;
-use xkw_core::prelude::XKeyword;
+use xkw_core::prelude::{ExecRequest, XKeyword};
 use xkw_store::{FaultKind, FaultSpec, FaultTarget};
 
 /// Overhead budget: disarmed-mode fault probes must stay under this
@@ -53,7 +52,7 @@ fn main() {
         .collect();
     let batch = || {
         for plans in &plan_sets {
-            let res = exec::topk(&xk.db, &xk.catalog(), plans, w::cached(), 20, 1);
+            let res = w::run(&xk, &ExecRequest::topk(plans, w::cached_join(), 20));
             std::hint::black_box(res.rows.len());
         }
     };

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xkw_bench::workload::{self as w, Config};
-use xkw_core::exec;
+use xkw_core::exec::ExecRequest;
 
 fn bench(c: &mut Criterion) {
     let mut data = w::bench_dblp_config();
@@ -24,7 +24,13 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(cfg.name(), k), &k, |b, &k| {
                 b.iter(|| {
                     for plans in &plan_sets {
-                        let res = exec::topk(&xk.db, &xk.catalog(), plans, w::cached(), k, 4);
+                        let res = w::run(
+                            &xk,
+                            &ExecRequest {
+                                threads: 4,
+                                ..ExecRequest::topk(plans, w::cached_join(), k)
+                            },
+                        );
                         std::hint::black_box(res.rows.len());
                     }
                 })

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xkw_bench::workload::{self as w, Config};
-use xkw_core::exec;
+use xkw_core::exec::{ExecRequest, Join};
 
 fn bench(c: &mut Criterion) {
     let mut data = w::bench_dblp_config();
@@ -24,9 +24,9 @@ fn bench(c: &mut Criterion) {
                     for plans in &plan_sets {
                         let capped = w::cap_ctssn_size(plans, m);
                         let res = if hash {
-                            exec::all_results(&xk.db, &xk.catalog(), &capped)
+                            w::run(&xk, &ExecRequest::all(&capped, Join::Hash))
                         } else {
-                            exec::all_plans(&xk.db, &xk.catalog(), &capped, w::cached())
+                            w::run(&xk, &ExecRequest::all(&capped, w::cached_join()))
                         };
                         std::hint::black_box(res.rows.len());
                     }

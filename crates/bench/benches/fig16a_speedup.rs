@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xkw_bench::workload::{self as w, Config};
-use xkw_core::exec::{self, ExecMode};
+use xkw_core::exec::{ExecMode, ExecRequest, Join};
 
 fn bench(c: &mut Criterion) {
     let mut data = w::bench_dblp_config();
@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     for plans in &plan_sets {
                         let capped = w::cap_ctssn_size(plans, m);
-                        let res = exec::all_plans(&xk.db, &xk.catalog(), &capped, mode);
+                        let res = w::run(&xk, &ExecRequest::all(&capped, Join::NestedLoop(mode)));
                         std::hint::black_box(res.rows.len());
                     }
                 })

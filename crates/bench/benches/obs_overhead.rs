@@ -24,7 +24,7 @@
 #![allow(clippy::disallowed_macros)] // printing is this target's interface
 use std::time::Instant;
 use xkw_bench::workload::{self as w, Config};
-use xkw_core::exec;
+use xkw_core::exec::ExecRequest;
 
 /// Overhead budget: disabled-mode instrumentation must stay under this
 /// fraction of the batch latency.
@@ -43,7 +43,7 @@ fn main() {
         .collect();
     let batch = || {
         for plans in &plan_sets {
-            let res = exec::topk(&xk.db, &xk.catalog(), plans, w::cached(), 20, 1);
+            let res = w::run(&xk, &ExecRequest::topk(plans, w::cached_join(), 20));
             std::hint::black_box(res.rows.len());
         }
     };

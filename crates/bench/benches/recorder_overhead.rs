@@ -22,6 +22,7 @@
 #![allow(clippy::disallowed_macros)] // printing is this target's interface
 use std::time::Instant;
 use xkw_bench::workload::{self as w, Config};
+use xkw_core::prelude::QuerySpec;
 
 /// Overhead budget: always-on recording must stay under this fraction
 /// of the batch latency.
@@ -38,7 +39,7 @@ fn main() {
     let batch = || {
         for (a, b) in &queries {
             let out = engine
-                .query_topk(&[a, b], w::Z, 20, w::cached(), 1)
+                .query(&QuerySpec::topk(&[a, b], w::Z, 20, w::cached()))
                 .expect("bench query must succeed");
             std::hint::black_box(out.results.rows.len());
         }

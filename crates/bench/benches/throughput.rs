@@ -55,7 +55,9 @@ fn main() {
     // how many clients run — unlike probe workloads, where concurrent
     // clients evict each other's reusable pages and inflate misses.
     for (a, b) in &queries {
-        let out = engine.query_all_hash(&[a, b], w::Z).expect("warmup");
+        let out = engine
+            .query(&QuerySpec::all_hash(&[a, b], w::Z))
+            .expect("warmup");
         std::hint::black_box(out.results.rows.len());
     }
     xk.db.pool().set_miss_penalty(MISS_PENALTY);
@@ -87,7 +89,9 @@ fn main() {
                     }
                     let (a, b) = &queries[i % queries.len()];
                     let q0 = Instant::now();
-                    let out = engine.query_all_hash(&[a, b], w::Z).expect("bench query");
+                    let out = engine
+                        .query(&QuerySpec::all_hash(&[a, b], w::Z))
+                        .expect("bench query");
                     latency.observe_duration(q0.elapsed());
                     std::hint::black_box(out.results.rows.len());
                 });

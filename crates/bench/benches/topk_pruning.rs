@@ -39,7 +39,6 @@
 #![allow(clippy::disallowed_macros)] // printing is this target's interface
 use std::time::{Duration, Instant};
 use xkw_bench::workload::{self as w, Config};
-use xkw_core::exec;
 use xkw_core::prelude::*;
 
 /// Minimum percentage of fully-evaluated plans that pruning must shave
@@ -107,7 +106,14 @@ fn main() {
     let batch = |k: usize, prune: bool| -> Work {
         let mut work = Work::default();
         for plans in &plan_sets {
-            let res = exec::topk_opts(&xk.db, &xk.catalog(), plans, w::cached(), k, THREADS, prune);
+            let res = w::run(
+                &xk,
+                &ExecRequest {
+                    threads: THREADS,
+                    prune,
+                    ..ExecRequest::topk(plans, w::cached_join(), k)
+                },
+            );
             work.claimed += res.prune.plans_claimed;
             work.pruned += res.prune.plans_pruned;
             work.early_stopped += res.prune.plans_early_stopped;
@@ -122,8 +128,21 @@ fn main() {
         // Byte-identity spot check on this workload (the proptest in
         // tests/concurrency.rs is the primary pin).
         for plans in &plan_sets {
-            let a = exec::topk_opts(&xk.db, &xk.catalog(), plans, w::cached(), k, THREADS, true);
-            let b = exec::topk_opts(&xk.db, &xk.catalog(), plans, w::cached(), k, THREADS, false);
+            let a = w::run(
+                &xk,
+                &ExecRequest {
+                    threads: THREADS,
+                    ..ExecRequest::topk(plans, w::cached_join(), k)
+                },
+            );
+            let b = w::run(
+                &xk,
+                &ExecRequest {
+                    threads: THREADS,
+                    prune: false,
+                    ..ExecRequest::topk(plans, w::cached_join(), k)
+                },
+            );
             assert_eq!(a.rows, b.rows, "pruning changed the top-{k} rows");
         }
 

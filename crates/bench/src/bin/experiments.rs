@@ -97,7 +97,14 @@ fn ingest_section() {
         )
     };
     let kws = ["incremental", "maintenance"];
-    let hits = |xk: &XKeyword| xk.query_all(&kws, w::Z, w::cached()).mttons().len();
+    let hits = |xk: &XKeyword| {
+        xk.engine()
+            .query(&QuerySpec::all(&kws, w::Z, w::cached()))
+            .unwrap()
+            .results
+            .mttons()
+            .len()
+    };
 
     let t = Instant::now();
     let xk = load();
@@ -284,13 +291,19 @@ fn slowlog_section() {
 
     let queries = w::pick_author_queries(&xk, QUERIES, SEED);
     for (a, b) in &queries {
-        let _ = engine.query_topk(&[a, b], w::Z, 20, w::cached(), 4);
+        let _ = engine.query(&QuerySpec {
+            threads: 4,
+            ..QuerySpec::topk(&[a, b], w::Z, 20, w::cached())
+        });
     }
     // One deadline-degraded query: pervasive 1ms stalls vs 50ms budget.
     let (a, b) = &queries[0];
     xk.db
         .install_faults(FaultSpec::new(0xA5A5).slow(FaultTarget::All, 1.0, 1_000_000));
-    let _ = engine.query_all_within(&[a, b], w::Z, w::cached(), Some(Duration::from_millis(50)));
+    let _ = engine.query(&QuerySpec {
+        deadline: Some(Duration::from_millis(50)),
+        ..QuerySpec::all(&[a, b], w::Z, w::cached())
+    });
     xk.db.faults().clear();
 
     // Reading the log triggers the deferred EXPLAIN captures.
@@ -342,7 +355,14 @@ fn topk_section() {
             let (mut claimed, mut pruned, mut aborted) = (0usize, 0usize, 0usize);
             let t = Instant::now();
             for plans in &plan_sets {
-                let res = exec::topk_opts(&xk.db, &xk.catalog(), plans, w::cached(), k, 8, prune);
+                let res = w::run(
+                    &xk,
+                    &ExecRequest {
+                        threads: 8,
+                        prune,
+                        ..ExecRequest::topk(plans, w::cached_join(), k)
+                    },
+                );
                 claimed += res.prune.plans_claimed;
                 pruned += res.prune.plans_pruned;
                 aborted += res.prune.plans_early_stopped;
@@ -391,15 +411,16 @@ fn faults_section() {
     for (a, b) in &queries {
         let complete = xk
             .engine()
-            .query_all(&[a, b], w::Z, w::cached())
+            .query(&QuerySpec::all(&[a, b], w::Z, w::cached()))
             .expect("fault-free query completes")
             .results
             .rows
             .len();
         xk.db.install_faults(spec.clone());
-        let bounded = xk
-            .engine()
-            .query_all_within(&[a, b], w::Z, w::cached(), Some(deadline));
+        let bounded = xk.engine().query(&QuerySpec {
+            deadline: Some(deadline),
+            ..QuerySpec::all(&[a, b], w::Z, w::cached())
+        });
         xk.db.faults().clear();
         let label = format!("{a} {b}");
         match bounded {
@@ -431,7 +452,7 @@ fn explain_section() {
     println!("query: \"{a} {b}\", Z = {}", w::Z);
     let report = xk
         .engine()
-        .explain(&[&a, &b], w::Z, w::cached())
+        .explain(&QuerySpec::all(&[&a, &b], w::Z, w::cached()))
         .expect("explain");
     print!("{}", report.render());
     let m = &report.outcome.metrics;
@@ -499,7 +520,13 @@ fn fig15a() {
             let mut samples = Vec::new();
             for plans in &plan_sets {
                 let t = Instant::now();
-                let res = exec::topk(&xk.db, &xk.catalog(), plans, w::cached(), k, 4);
+                let res = w::run(
+                    &xk,
+                    &ExecRequest {
+                        threads: 4,
+                        ..ExecRequest::topk(plans, w::cached_join(), k)
+                    },
+                );
                 samples.push(t.elapsed());
                 std::hint::black_box(res.rows.len());
             }
@@ -543,9 +570,9 @@ fn fig15b() {
                 let capped = w::cap_ctssn_size(plans, m);
                 let t = Instant::now();
                 let res = if hash {
-                    exec::all_results(&xk.db, &xk.catalog(), &capped)
+                    w::run(&xk, &ExecRequest::all(&capped, Join::Hash))
                 } else {
-                    exec::all_plans(&xk.db, &xk.catalog(), &capped, w::cached())
+                    w::run(&xk, &ExecRequest::all(&capped, w::cached_join()))
                 };
                 samples.push(t.elapsed());
                 std::hint::black_box(res.rows.len());
@@ -579,11 +606,14 @@ fn fig16a() {
         for plans in &plan_sets {
             let capped = w::cap_ctssn_size(plans, m);
             let t = Instant::now();
-            let rn = exec::all_plans(&xk.db, &xk.catalog(), &capped, ExecMode::Naive);
+            let rn = w::run(
+                &xk,
+                &ExecRequest::all(&capped, Join::NestedLoop(ExecMode::Naive)),
+            );
             tn.push(t.elapsed());
             pn += rn.stats.probes;
             let t = Instant::now();
-            let rc = exec::all_plans(&xk.db, &xk.catalog(), &capped, w::cached());
+            let rc = w::run(&xk, &ExecRequest::all(&capped, w::cached_join()));
             tc.push(t.elapsed());
             pc += rc.stats.probes;
             assert_eq!(rn.mttons(), rc.mttons());
@@ -751,7 +781,13 @@ fn tpch_section() {
             total_joins += plans.iter().map(|p| p.joins()).sum::<usize>();
             nplans += plans.len();
             let t = Instant::now();
-            let res = exec::topk(&xk.db, &xk.catalog(), &plans, w::cached(), 20, 4);
+            let res = w::run(
+                &xk,
+                &ExecRequest {
+                    threads: 4,
+                    ..ExecRequest::topk(&plans, w::cached_join(), 20)
+                },
+            );
             samples.push(t.elapsed());
             probes += res.stats.probes;
         }

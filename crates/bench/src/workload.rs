@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xkw_core::ctssn::Ctssn;
-use xkw_core::exec::ExecMode;
+use xkw_core::exec::{self, ExecMode};
 use xkw_core::optimizer::{build_plan, CtssnPlan};
 use xkw_core::prelude::*;
 use xkw_core::relations::PhysicalPolicy;
@@ -169,6 +169,18 @@ pub fn cap_ctssn_size(plans: &[CtssnPlan], m: usize) -> Vec<CtssnPlan> {
 /// A cached execution mode matching §6 (fixed-size cache).
 pub fn cached() -> ExecMode {
     ExecMode::Cached { capacity: 8192 }
+}
+
+/// Nested-loop evaluation in the default [`cached`] mode.
+pub fn cached_join() -> Join {
+    Join::NestedLoop(cached())
+}
+
+/// Evaluates a request against `xk`'s store and current catalog. Bench
+/// plans come straight from the optimizer and nothing injects faults,
+/// so a typed error is a harness bug.
+pub fn run(xk: &XKeyword, req: &ExecRequest<'_>) -> QueryResults {
+    exec::execute(&xk.db, &xk.catalog(), req).expect("bench request evaluates")
 }
 
 /// Times the decomposition algorithms on the DBLP TSS graph (sanity

@@ -18,7 +18,7 @@
 //!   [`instantiate`](crate::optimizer::instantiate) step. Queries with
 //!   fresh keywords of a familiar *shape* (e.g. any two author surnames)
 //!   plan in microseconds.
-//! * **Typed errors.** All `query_*`/`prepare` paths return
+//! * **Typed errors.** `query`/`explain`/`prepare` return
 //!   `Result<_, `[`XkError`]`>`: empty or oversized queries, unknown
 //!   keywords, contradictory execution modes and plan/catalog mismatches
 //!   come back as values, never panics — a bad query cannot take down a
@@ -34,7 +34,7 @@
 use crate::cn::CnGenerator;
 use crate::ctssn::Ctssn;
 use crate::error::{validate_keywords, XkError};
-use crate::exec::{self, ExecMode, QueryResults};
+use crate::exec::{self, ExecMode, Join, QueryResults};
 use crate::master_index::MasterIndex;
 use crate::optimizer::{build_skeleton, instantiate_with, CtssnPlan, PlanSkeleton};
 use crate::postings::PostingsFormatKind;
@@ -147,6 +147,61 @@ impl EngineStats {
     }
 }
 
+/// One query — the engine's whole input. Every combination of the
+/// fields is a supported shape; they map one-to-one onto
+/// [`exec::ExecRequest`] once the keywords are planned.
+#[derive(Debug, Clone, Copy)]
+pub struct QuerySpec<'a> {
+    /// The keywords, in request order.
+    pub keywords: &'a [&'a str],
+    /// The CN size bound.
+    pub z: usize,
+    /// How each candidate network is evaluated.
+    pub join: Join,
+    /// `Some(k)`: the top-k presentation of §6; `None`: every result.
+    pub k: Option<usize>,
+    /// Top-k threshold pruning (ignored without `k`); rows are
+    /// byte-identical either way — `false` is the A/B reference.
+    pub prune: bool,
+    /// Execution worker threads (at least one; one runs inline).
+    pub threads: usize,
+    /// Evaluation budget; `None` never stops.
+    pub deadline: Option<Duration>,
+}
+
+impl<'a> QuerySpec<'a> {
+    /// Every result by nested-loop probes, one worker, no deadline.
+    pub fn all(keywords: &'a [&'a str], z: usize, mode: ExecMode) -> Self {
+        QuerySpec {
+            keywords,
+            z,
+            join: Join::NestedLoop(mode),
+            k: None,
+            prune: true,
+            threads: 1,
+            deadline: None,
+        }
+    }
+
+    /// Every result by full scans + hash joins (the "all results" regime
+    /// of §7), one worker, no deadline.
+    pub fn all_hash(keywords: &'a [&'a str], z: usize) -> Self {
+        QuerySpec {
+            join: Join::Hash,
+            ..QuerySpec::all(keywords, z, ExecMode::Naive)
+        }
+    }
+
+    /// The first `k` results across candidate networks, smallest CNs
+    /// first, pruned, one worker, no deadline.
+    pub fn topk(keywords: &'a [&'a str], z: usize, k: usize, mode: ExecMode) -> Self {
+        QuerySpec {
+            k: Some(k),
+            ..QuerySpec::all(keywords, z, mode)
+        }
+    }
+}
+
 /// A prepared query: instantiated plans plus discovery/planning metrics.
 #[derive(Debug)]
 pub struct Prepared {
@@ -197,21 +252,12 @@ pub struct QueryEngine {
     view: RwLock<Arc<ReadView>>,
     plan_cache: Mutex<LruCache<PlanKey, Arc<Vec<PlanSkeleton>>>>,
     stats: Mutex<EngineStats>,
-    /// Worker threads for full-evaluation queries (`query_all` /
-    /// `query_all_hash`); `query_topk` takes its thread count per call.
+    /// The load-time worker-thread default, read by the positional
+    /// `query_all`/`query_all_hash` delegates ([`QuerySpec`] names its
+    /// own count).
     exec_threads: AtomicUsize,
     /// The always-on flight recorder (see `xkw_obs::recorder`).
     recorder: Arc<FlightRecorder>,
-}
-
-/// Per-entry-point context [`QueryEngine::run`] needs to build a flight
-/// record: which path ran, its k, deadline, and prune setting.
-#[derive(Debug, Clone, Copy)]
-struct RunInfo {
-    path: &'static str,
-    k: Option<usize>,
-    deadline: Option<Duration>,
-    prune: bool,
 }
 
 impl QueryEngine {
@@ -266,14 +312,13 @@ impl QueryEngine {
         &self.recorder
     }
 
-    /// Sets the worker-thread count used by `query_all`/`query_all_hash`
-    /// (clamped to at least 1). Results are identical for every setting;
-    /// only wall time changes.
+    /// Sets the worker-thread default (clamped to at least 1). Results
+    /// are identical for every setting; only wall time changes.
     pub fn set_exec_threads(&self, threads: usize) {
         self.exec_threads.store(threads.max(1), Ordering::Relaxed);
     }
 
-    /// The current full-evaluation worker-thread count.
+    /// The current worker-thread default.
     pub fn exec_threads(&self) -> usize {
         self.exec_threads.load(Ordering::Relaxed)
     }
@@ -364,7 +409,7 @@ impl QueryEngine {
     }
 
     /// [`QueryEngine::prepare`] against an explicit snapshot — the form
-    /// every `query_*` entry point uses so discovery, planning and
+    /// `query`/`explain` use so discovery, planning and
     /// execution all read the same epoch.
     pub fn prepare_with(
         &self,
@@ -430,60 +475,40 @@ impl QueryEngine {
         })
     }
 
-    /// Evaluates every candidate network to completion with nested-loop
-    /// probes (naive or cached).
+    /// Runs one query: discover → plan → execute → present, all against
+    /// one view snapshot. On deadline or unrecoverable store faults the
+    /// query degrades gracefully — rows found in time come back with a
+    /// populated [`exec::Degradation`] report instead of being thrown
+    /// away. Every completion — success, degraded, or execute-stage
+    /// error — appends one flight record.
     ///
     /// # Errors
-    /// The [`QueryEngine::prepare`] errors plus [`XkError::BadMode`].
-    pub fn query_all(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        mode: ExecMode,
-    ) -> Result<QueryOutcome, XkError> {
-        self.query_all_within(keywords, z, mode, None)
+    /// The [`QueryEngine::prepare`] errors plus the [`exec::execute`]
+    /// errors; worker panics come back with the keyword set attached.
+    pub fn query(&self, spec: &QuerySpec<'_>) -> Result<QueryOutcome, XkError> {
+        self.run(spec, false).map(|report| report.outcome)
     }
 
-    /// [`QueryEngine::query_all`] with an optional evaluation deadline.
-    /// On deadline or unrecoverable store faults the query degrades
-    /// gracefully: rows found in time come back with a populated
-    /// [`exec::Degradation`] report instead of being thrown away.
+    /// EXPLAIN ANALYZE: [`QueryEngine::query`] with per-probe
+    /// measurement attached — the same path, the same rows — returning
+    /// the outcome plus one operator-tree [`PlanProfile`] per plan.
+    /// Summing attributed I/O over the profile trees reproduces the
+    /// outcome's [`QueryMetrics`] I/O totals exactly — the profiles are a
+    /// decomposition of the query's accounting, not an estimate. Plans
+    /// the top-k threshold cut or a deadline skipped appear as `pruned` /
+    /// `skipped` entries carrying their score and zero attributed I/O.
     ///
     /// # Errors
-    /// The [`QueryEngine::query_all`] errors plus
-    /// [`XkError::DeadlineExceeded`] / [`XkError::Store`] when the query
-    /// degraded before producing any result.
-    pub fn query_all_within(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        mode: ExecMode,
-        deadline: Option<Duration>,
-    ) -> Result<QueryOutcome, XkError> {
-        let info = RunInfo {
-            path: "all",
-            k: None,
-            deadline,
-            prune: false,
-        };
-        self.run(keywords, z, mode, info, |view, prepared| {
-            exec::try_all_plans_mt_within(
-                &self.db,
-                &view.catalog,
-                &prepared.plans,
-                mode,
-                self.exec_threads(),
-                deadline,
-            )
-        })
+    /// Same as [`QueryEngine::query`].
+    pub fn explain(&self, spec: &QuerySpec<'_>) -> Result<ExplainReport, XkError> {
+        self.run(spec, true)
     }
 
-    /// Top-k query (the web-search-engine presentation of §6): the first
-    /// `k` results across candidate networks, smallest CNs first,
-    /// evaluated by `threads` worker threads.
+    /// `query` for top-k with default pruning and no deadline.
+    /// Kept for `benchmark/`; remove with the next benchmark re-baseline.
     ///
     /// # Errors
-    /// The [`QueryEngine::prepare`] errors plus [`XkError::BadMode`].
+    /// Same as [`QueryEngine::query`].
     pub fn query_topk(
         &self,
         keywords: &[&str],
@@ -492,40 +517,14 @@ impl QueryEngine {
         mode: ExecMode,
         threads: usize,
     ) -> Result<QueryOutcome, XkError> {
-        self.query_topk_within(keywords, z, k, mode, threads, None)
+        self.query_topk_opts(keywords, z, k, mode, threads, None, true)
     }
 
-    /// [`QueryEngine::query_topk`] with an optional evaluation deadline
-    /// (see [`QueryEngine::query_all_within`] for the degradation
-    /// contract) — the paper's interactive presentation made robust: a
-    /// slow store returns the best partial top-k found in time.
+    /// `query` for top-k, spelled positionally.
+    /// Kept for `benchmark/`; remove with the next benchmark re-baseline.
     ///
     /// # Errors
-    /// The [`QueryEngine::query_topk`] errors plus
-    /// [`XkError::DeadlineExceeded`] / [`XkError::Store`] when the query
-    /// degraded before producing any result.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_topk_within(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        k: usize,
-        mode: ExecMode,
-        threads: usize,
-        deadline: Option<Duration>,
-    ) -> Result<QueryOutcome, XkError> {
-        self.query_topk_opts(keywords, z, k, mode, threads, deadline, true)
-    }
-
-    /// [`QueryEngine::query_topk_within`] with explicit control over
-    /// threshold pruning. `prune: false` is the A/B escape hatch (the
-    /// CLI's `--no-prune`): every claimed plan runs to its per-plan row
-    /// limit as before this optimization. Returned rows are
-    /// byte-identical either way — pruning only changes how much work is
-    /// *not* done.
-    ///
-    /// # Errors
-    /// The [`QueryEngine::query_topk_within`] errors.
+    /// Same as [`QueryEngine::query`].
     #[allow(clippy::too_many_arguments)]
     pub fn query_topk_opts(
         &self,
@@ -537,158 +536,168 @@ impl QueryEngine {
         deadline: Option<Duration>,
         prune: bool,
     ) -> Result<QueryOutcome, XkError> {
-        let info = RunInfo {
-            path: "topk",
-            k: Some(k),
+        self.query(&QuerySpec {
+            threads,
             deadline,
             prune,
-        };
-        self.run(keywords, z, mode, info, |view, prepared| {
-            exec::try_topk_within_opts(
-                &self.db,
-                &view.catalog,
-                &prepared.plans,
-                mode,
-                k,
-                threads,
-                deadline,
-                prune,
-            )
+            ..QuerySpec::topk(keywords, z, k, mode)
         })
     }
 
-    /// Evaluates every candidate network via full scans + hash joins
-    /// (the "all results" regime of §7).
+    /// `query` for nested-loop enumeration on the engine's load-time
+    /// worker count.
+    /// Kept for `benchmark/`; remove with the next benchmark re-baseline.
     ///
     /// # Errors
-    /// The [`QueryEngine::prepare`] errors.
-    pub fn query_all_hash(&self, keywords: &[&str], z: usize) -> Result<QueryOutcome, XkError> {
-        self.query_all_hash_within(keywords, z, None)
-    }
-
-    /// [`QueryEngine::query_all_hash`] with an optional evaluation
-    /// deadline (see [`QueryEngine::query_all_within`] for the
-    /// degradation contract).
-    ///
-    /// # Errors
-    /// The [`QueryEngine::query_all_hash`] errors plus
-    /// [`XkError::DeadlineExceeded`] / [`XkError::Store`] when the query
-    /// degraded before producing any result.
-    pub fn query_all_hash_within(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        deadline: Option<Duration>,
-    ) -> Result<QueryOutcome, XkError> {
-        let info = RunInfo {
-            path: "hash",
-            k: None,
-            deadline,
-            prune: false,
-        };
-        self.run(keywords, z, ExecMode::Naive, info, |view, prepared| {
-            exec::try_all_results_mt_within(
-                &self.db,
-                &view.catalog,
-                &prepared.plans,
-                self.exec_threads(),
-                deadline,
-            )
-        })
-    }
-
-    /// Shared prepare → execute → present skeleton of the `query_*`
-    /// methods. Every completion — success, degraded, or execute-stage
-    /// error — appends one flight record.
-    fn run(
+    /// Same as [`QueryEngine::query`].
+    pub fn query_all(
         &self,
         keywords: &[&str],
         z: usize,
         mode: ExecMode,
-        info: RunInfo,
-        execute: impl FnOnce(&ReadView, &Prepared) -> Result<QueryResults, XkError>,
     ) -> Result<QueryOutcome, XkError> {
+        self.query(&QuerySpec {
+            threads: self.exec_threads(),
+            ..QuerySpec::all(keywords, z, mode)
+        })
+    }
+
+    /// `query` for hash-join enumeration on the engine's load-time
+    /// worker count.
+    /// Kept for `benchmark/`; remove with the next benchmark re-baseline.
+    ///
+    /// # Errors
+    /// Same as [`QueryEngine::query`].
+    pub fn query_all_hash(&self, keywords: &[&str], z: usize) -> Result<QueryOutcome, XkError> {
+        self.query(&QuerySpec {
+            threads: self.exec_threads(),
+            ..QuerySpec::all_hash(keywords, z)
+        })
+    }
+
+    /// The execute stage: one [`exec::ExecRequest`] through the driver,
+    /// profiles dressed in catalog/TSS names when `profiled`.
+    fn execute(
+        &self,
+        view: &ReadView,
+        prepared: &Prepared,
+        spec: &QuerySpec<'_>,
+        profiled: bool,
+    ) -> Result<(QueryResults, Vec<PlanProfile>), XkError> {
+        let req = exec::ExecRequest {
+            plans: &prepared.plans,
+            join: spec.join,
+            k: spec.k,
+            prune: spec.prune,
+            threads: spec.threads,
+            deadline: spec.deadline,
+        };
+        if !profiled {
+            return exec::execute(&self.db, &view.catalog, &req).map(|r| (r, Vec::new()));
+        }
+        let (results, raw) = exec::execute_profiled(&self.db, &view.catalog, &req)?;
+        let profiles = raw
+            .iter()
+            .map(|p| self.plan_profile(&view.catalog, &prepared.plans[p.plan], p))
+            .collect();
+        Ok((results, profiles))
+    }
+
+    /// The one prepare → execute → present → record body behind
+    /// [`QueryEngine::query`] and [`QueryEngine::explain`].
+    fn run(&self, spec: &QuerySpec<'_>, profiled: bool) -> Result<ExplainReport, XkError> {
         let start = Instant::now();
-        let query_span = xkw_obs::span!("query", keywords = keywords.len(), z = z);
-        exec::validate_mode(mode).inspect_err(|_| self.count_error())?;
+        let query_span = xkw_obs::span!(
+            "query",
+            keywords = spec.keywords.len(),
+            z = spec.z,
+            explain = profiled
+        );
         // One snapshot per query: discovery, planning and execution all
         // read this view even if an ingest installs a newer one mid-way.
         let view = self.view();
-        let prepared = self.prepare_with(&view, keywords, z)?;
+        let prepared = self.prepare_with(&view, spec.keywords, spec.z)?;
+        let mut metrics = QueryMetrics {
+            discover: prepared.discover,
+            plan: prepared.plan,
+            plan_cache_hit: prepared.plan_cache_hit,
+            plans: prepared.plans.len(),
+            ..QueryMetrics::default()
+        };
 
         let t = Instant::now();
-        let exec_span = xkw_obs::span!("query.exec", plans = prepared.plans.len());
-        // Worker-panic errors get the keyword set attached here: the
-        // executor sees plans, only the engine knows the query.
-        let results = match execute(&view, &prepared) {
-            Ok(r) => r,
+        let exec_span = xkw_obs::span!(
+            "query.exec",
+            plans = prepared.plans.len(),
+            explain = profiled
+        );
+        let executed = self.execute(&view, &prepared, spec, profiled);
+        drop(exec_span);
+        metrics.exec = t.elapsed();
+        let (results, profiles) = match executed {
+            Ok(done) => done,
             Err(e) => {
-                let e = e.with_keywords(keywords);
+                // Worker-panic errors get the keyword set attached here:
+                // the executor sees plans, only the engine knows the query.
+                let e = e.with_keywords(spec.keywords);
                 self.count_error();
-                drop(exec_span);
-                let exec_time = t.elapsed();
                 // Close the query span before recording so a drained
                 // span tree includes it.
                 drop(query_span);
-                self.record_failure(keywords, z, mode, info, &prepared, exec_time, start, &e);
+                self.record_query(spec, profiled, &metrics, Err(&e), start.elapsed(), None);
                 return Err(e);
             }
         };
-        drop(exec_span);
-        let exec_time = t.elapsed();
 
         let t = Instant::now();
         let present_span = xkw_obs::span!("query.present", rows = results.rows.len());
         let mttons = results.mttons();
         drop(present_span);
-        let present = t.elapsed();
+        metrics.present = t.elapsed();
 
-        let metrics = QueryMetrics {
-            discover: prepared.discover,
-            plan: prepared.plan,
-            exec: exec_time,
-            present,
-            plan_cache_hit: prepared.plan_cache_hit,
-            plans: prepared.plans.len(),
-            partial_cache_hits: results.stats.cache_hits,
-            partial_cache_misses: results.stats.cache_misses,
-            io_hits: results.stats.io_hits,
-            io_misses: results.stats.io_misses,
-            plans_pruned: results.prune.plans_pruned,
-            plans_early_stopped: results.prune.plans_early_stopped,
-        };
+        metrics.partial_cache_hits = results.stats.cache_hits;
+        metrics.partial_cache_misses = results.stats.cache_misses;
+        metrics.io_hits = results.stats.io_hits;
+        metrics.io_misses = results.stats.io_misses;
+        metrics.plans_pruned = results.prune.plans_pruned;
+        metrics.plans_early_stopped = results.prune.plans_early_stopped;
         self.stats.lock().absorb(&metrics);
         publish_query_metrics(&metrics, &results);
         drop(query_span);
+        let explain = profiled.then(|| ExplainCapture {
+            io_hits: metrics.io_hits,
+            io_misses: metrics.io_misses,
+            profiles: profiles.clone(),
+        });
         self.record_query(
-            keywords,
-            z,
-            mode,
-            info,
+            spec,
+            profiled,
             &metrics,
-            &results,
+            Ok(&results),
             start.elapsed(),
-            None,
+            explain,
         );
-        Ok(QueryOutcome {
-            results,
-            mttons,
-            metrics,
+        Ok(ExplainReport {
+            outcome: QueryOutcome {
+                results,
+                mttons,
+                metrics,
+            },
+            profiles,
         })
     }
 
-    /// Builds and appends one flight record. Called after the query span
-    /// closed, so a sampled record can drain the complete span tree.
-    /// Skipped entirely (one atomic load) while the recorder is off.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds and appends the flight record of one completed query —
+    /// the only place a [`QueryRecord`] is built. Called after the query
+    /// span closed, so a sampled record can drain the complete span
+    /// tree. Skipped entirely (one atomic load) while the recorder is
+    /// off.
     fn record_query(
         &self,
-        keywords: &[&str],
-        z: usize,
-        mode: ExecMode,
-        info: RunInfo,
+        spec: &QuerySpec<'_>,
+        profiled: bool,
         metrics: &QueryMetrics,
-        results: &QueryResults,
+        outcome: Result<&QueryResults, &XkError>,
         total: Duration,
         explain: Option<ExplainCapture>,
     ) {
@@ -697,12 +706,16 @@ impl QueryEngine {
         }
         let id = self.recorder.next_id();
         let total_ns = total.as_nanos() as u64;
-        let degradation = summarize_degradation(&results.degradation);
+        let (rows, degradation) = match outcome {
+            Ok(r) => (r.rows.as_slice(), summarize_degradation(&r.degradation)),
+            Err(_) => (&[][..], None),
+        };
         let slow = total_ns >= self.recorder.slow_threshold_ns();
         let degraded = degradation
             .as_ref()
             .is_some_and(|d| d.is_degraded() || d.corrupt);
-        let forced = slow || degraded;
+        // Errors are always force-captured.
+        let forced = slow || degraded || outcome.is_err();
         let sampled = forced || self.recorder.should_sample(id);
         // Only sampled records keep spans — this replaces a
         // grow-forever `take_spans` on the serving path with bounded,
@@ -715,17 +728,30 @@ impl QueryEngine {
         // Explain-path records carry their capture immediately; forced
         // serving-path records are flagged for a *deferred* capture,
         // attached at slow-log read/export time, never while serving.
-        let needs_explain = forced && explain.is_none();
+        // Errors never request one — re-running a failing query would
+        // just fail again.
+        let needs_explain = forced && explain.is_none() && outcome.is_ok();
         self.recorder.push(QueryRecord {
             id,
-            keywords: keywords.iter().map(|s| (*s).to_owned()).collect(),
-            z,
-            k: info.k,
-            path: info.path,
-            mode: recorded_mode(mode),
+            keywords: spec.keywords.iter().map(|s| (*s).to_owned()).collect(),
+            z: spec.z,
+            k: spec.k,
+            path: match (profiled, spec.join, spec.k) {
+                (true, _, _) => "explain",
+                (_, Join::Hash, _) => "hash",
+                (_, _, Some(_)) => "topk",
+                _ => "all",
+            },
+            mode: match spec.join {
+                Join::NestedLoop(ExecMode::Naive) => RecordedMode::Naive,
+                Join::NestedLoop(ExecMode::Cached { capacity }) => {
+                    RecordedMode::Cached { capacity }
+                }
+                Join::Hash => RecordedMode::Hash,
+            },
             postings: postings_label(self.master().format()),
-            deadline_ns: info.deadline.map(|d| d.as_nanos() as u64),
-            prune: info.prune,
+            deadline_ns: spec.deadline.map(|d| d.as_nanos() as u64),
+            prune: spec.prune && spec.k.is_some(),
             plan_cache_hit: metrics.plan_cache_hit,
             discover_ns: metrics.discover.as_nanos() as u64,
             plan_ns: metrics.plan.as_nanos() as u64,
@@ -735,12 +761,12 @@ impl QueryEngine {
             plans: metrics.plans,
             plans_pruned: metrics.plans_pruned,
             plans_early_stopped: metrics.plans_early_stopped,
-            rows: results.rows.len(),
-            result_digest: digest_rows(&results.rows),
+            rows: rows.len(),
+            result_digest: digest_rows(rows),
             io_hits: metrics.io_hits,
             io_misses: metrics.io_misses,
             degradation,
-            error: None,
+            error: outcome.err().map(XkError::to_string),
             slow,
             forced,
             sampled,
@@ -751,85 +777,47 @@ impl QueryEngine {
         });
     }
 
-    /// Records a query whose execute stage failed. Errors are always
-    /// force-captured but never request a deferred EXPLAIN — re-running
-    /// a failing query would just fail again.
-    #[allow(clippy::too_many_arguments)]
-    fn record_failure(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        mode: ExecMode,
-        info: RunInfo,
-        prepared: &Prepared,
-        exec_time: Duration,
-        start: Instant,
-        error: &XkError,
-    ) {
-        if !self.recorder.enabled() {
-            return;
-        }
-        let id = self.recorder.next_id();
-        let total_ns = start.elapsed().as_nanos() as u64;
-        let slow = total_ns >= self.recorder.slow_threshold_ns();
-        let spans = if xkw_obs::enabled() {
-            xkw_obs::trace::take_spans()
-        } else {
-            Vec::new()
-        };
-        self.recorder.push(QueryRecord {
-            id,
-            keywords: keywords.iter().map(|s| (*s).to_owned()).collect(),
-            z,
-            k: info.k,
-            path: info.path,
-            mode: recorded_mode(mode),
-            postings: postings_label(self.master().format()),
-            deadline_ns: info.deadline.map(|d| d.as_nanos() as u64),
-            prune: info.prune,
-            plan_cache_hit: prepared.plan_cache_hit,
-            discover_ns: prepared.discover.as_nanos() as u64,
-            plan_ns: prepared.plan.as_nanos() as u64,
-            exec_ns: exec_time.as_nanos() as u64,
-            present_ns: 0,
-            total_ns,
-            plans: prepared.plans.len(),
-            plans_pruned: 0,
-            plans_early_stopped: 0,
-            rows: 0,
-            result_digest: digest_rows(&[]),
-            io_hits: 0,
-            io_misses: 0,
-            degradation: None,
-            error: Some(error.to_string()),
-            slow,
-            forced: true,
-            sampled: true,
-            spans,
-            explain: None,
-            explain_error: None,
-            needs_explain: false,
-        });
-    }
-
     /// Runs every deferred EXPLAIN capture the recorder has queued
     /// (records force-captured as slow, degraded, or corrupt). Each
-    /// capture re-runs the recorded query single-threaded with probes
-    /// attached — honoring the original deadline, so a query that
-    /// degraded under a deadline cannot stall its capture either — and
-    /// attaches an [`ExplainCapture`] whose per-operator I/O decomposes
-    /// the capture run's own totals exactly. This runs on the *read*
-    /// path (slow-log render, JSONL export), never while serving, and
-    /// bypasses engine stats, published metrics and recording, so a
-    /// capture is invisible to every counter. Returns the number of
-    /// captures attached.
+    /// capture re-runs exactly the recorded request — same join, `k`,
+    /// prune flag and deadline, so a query that degraded under a
+    /// deadline cannot stall its capture either — on one worker with
+    /// probes attached, and attaches an [`ExplainCapture`] whose
+    /// per-operator I/O decomposes the capture run's own totals exactly.
+    /// This runs on the *read* path (slow-log render, JSONL export),
+    /// never while serving, and bypasses engine stats, published metrics
+    /// and recording, so a capture is invisible to every counter.
+    /// Returns the number of captures attached.
     pub fn capture_pending_explains(&self) -> usize {
         let mut captured = 0;
         for p in self.recorder.pending_explains() {
             let keywords: Vec<&str> = p.keywords.iter().map(String::as_str).collect();
-            let deadline = p.deadline_ns.map(Duration::from_nanos);
-            match self.capture_explain(&keywords, p.z, p.k, exec_mode_of(p.mode), deadline) {
-                Ok(capture) => {
+            let spec = QuerySpec {
+                keywords: &keywords,
+                z: p.z,
+                join: match p.mode {
+                    RecordedMode::Naive => Join::NestedLoop(ExecMode::Naive),
+                    RecordedMode::Cached { capacity } => {
+                        Join::NestedLoop(ExecMode::Cached { capacity })
+                    }
+                    RecordedMode::Hash => Join::Hash,
+                },
+                k: p.k,
+                prune: p.prune,
+                threads: 1,
+                deadline: p.deadline_ns.map(Duration::from_nanos),
+            };
+            let view = self.view();
+            let capture = self
+                .prepare_with(&view, spec.keywords, spec.z)
+                .and_then(|prepared| self.execute(&view, &prepared, &spec, true));
+            match capture {
+                Ok((results, profiles)) => {
+                    let capture = ExplainCapture {
+                        io_hits: results.stats.io_hits,
+                        io_misses: results.stats.io_misses,
+                        profiles,
+                    };
                     if self.recorder.attach_explain(p.id, capture) {
                         captured += 1;
                     }
@@ -840,43 +828,6 @@ impl QueryEngine {
             }
         }
         captured
-    }
-
-    /// One deferred capture: prepare + profiled evaluation, with no
-    /// stats absorption, metric publication, or record push.
-    fn capture_explain(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        k: Option<usize>,
-        mode: ExecMode,
-        deadline: Option<Duration>,
-    ) -> Result<ExplainCapture, XkError> {
-        exec::validate_mode(mode)?;
-        let view = self.view();
-        let prepared = self.prepare_with(&view, keywords, z)?;
-        exec::validate_plans(&view.catalog, &prepared.plans)?;
-        let (results, raw) = match k {
-            Some(k) => exec::profile_plans_topk(
-                &self.db,
-                &view.catalog,
-                &prepared.plans,
-                mode,
-                k,
-                deadline,
-            ),
-            None => {
-                exec::profile_plans_within(&self.db, &view.catalog, &prepared.plans, mode, deadline)
-            }
-        };
-        Ok(ExplainCapture {
-            io_hits: results.stats.io_hits,
-            io_misses: results.stats.io_misses,
-            profiles: raw
-                .iter()
-                .map(|p| self.plan_profile(&view.catalog, &prepared.plans[p.plan], p))
-                .collect(),
-        })
     }
 
     /// The rendered slow-query log: the last `n` force-captured queries
@@ -891,177 +842,6 @@ impl QueryEngine {
     pub fn export_query_log(&self) -> String {
         self.capture_pending_explains();
         self.recorder.export_jsonl()
-    }
-
-    /// EXPLAIN ANALYZE: prepares the query as usual, then evaluates every
-    /// plan single-threaded with per-probe measurement attached, and
-    /// returns the outcome plus one operator-tree [`PlanProfile`] per
-    /// plan. Summing attributed I/O over the profile trees reproduces the
-    /// outcome's [`QueryMetrics`] I/O totals exactly — the profiles are a
-    /// decomposition of the query's accounting, not an estimate.
-    ///
-    /// # Errors
-    /// The [`QueryEngine::prepare`] errors plus [`XkError::BadMode`].
-    pub fn explain(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        mode: ExecMode,
-    ) -> Result<ExplainReport, XkError> {
-        let start = Instant::now();
-        let query_span = xkw_obs::span!("query", keywords = keywords.len(), z = z, explain = true);
-        exec::validate_mode(mode).inspect_err(|_| self.count_error())?;
-        let view = self.view();
-        let prepared = self.prepare_with(&view, keywords, z)?;
-        exec::validate_plans(&view.catalog, &prepared.plans).inspect_err(|_| self.count_error())?;
-
-        let t = Instant::now();
-        let exec_span = xkw_obs::span!("query.exec", plans = prepared.plans.len(), explain = true);
-        let (results, raw) = exec::profile_plans(&self.db, &view.catalog, &prepared.plans, mode);
-        drop(exec_span);
-        let exec_time = t.elapsed();
-
-        let t = Instant::now();
-        let present_span = xkw_obs::span!("query.present", rows = results.rows.len());
-        let mttons = results.mttons();
-        drop(present_span);
-        let present = t.elapsed();
-
-        let metrics = QueryMetrics {
-            discover: prepared.discover,
-            plan: prepared.plan,
-            exec: exec_time,
-            present,
-            plan_cache_hit: prepared.plan_cache_hit,
-            plans: prepared.plans.len(),
-            partial_cache_hits: results.stats.cache_hits,
-            partial_cache_misses: results.stats.cache_misses,
-            io_hits: results.stats.io_hits,
-            io_misses: results.stats.io_misses,
-            plans_pruned: results.prune.plans_pruned,
-            plans_early_stopped: results.prune.plans_early_stopped,
-        };
-        self.stats.lock().absorb(&metrics);
-        publish_query_metrics(&metrics, &results);
-        let profiles: Vec<PlanProfile> = raw
-            .iter()
-            .map(|p| self.plan_profile(&view.catalog, &prepared.plans[p.plan], p))
-            .collect();
-        drop(query_span);
-        let info = RunInfo {
-            path: "explain",
-            k: None,
-            deadline: None,
-            prune: false,
-        };
-        self.record_query(
-            keywords,
-            z,
-            mode,
-            info,
-            &metrics,
-            &results,
-            start.elapsed(),
-            Some(ExplainCapture {
-                io_hits: metrics.io_hits,
-                io_misses: metrics.io_misses,
-                profiles: profiles.clone(),
-            }),
-        );
-        Ok(ExplainReport {
-            outcome: QueryOutcome {
-                results,
-                mttons,
-                metrics,
-            },
-            profiles,
-        })
-    }
-
-    /// EXPLAIN ANALYZE for the top-k path: like [`QueryEngine::explain`]
-    /// but executed through the pruned bounded-evaluation pipeline.
-    /// Pruned plans appear in the profile list as `pruned` entries
-    /// carrying their score bound and zero attributed I/O, so summing
-    /// I/O over every profile still reproduces the query totals exactly.
-    ///
-    /// # Errors
-    /// The [`QueryEngine::prepare`] errors plus [`XkError::BadMode`].
-    pub fn explain_topk(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        k: usize,
-        mode: ExecMode,
-    ) -> Result<ExplainReport, XkError> {
-        let start = Instant::now();
-        let query_span = xkw_obs::span!("query", keywords = keywords.len(), z = z, explain = true);
-        exec::validate_mode(mode).inspect_err(|_| self.count_error())?;
-        let view = self.view();
-        let prepared = self.prepare_with(&view, keywords, z)?;
-        exec::validate_plans(&view.catalog, &prepared.plans).inspect_err(|_| self.count_error())?;
-
-        let t = Instant::now();
-        let exec_span = xkw_obs::span!("query.exec", plans = prepared.plans.len(), explain = true);
-        let (results, raw) =
-            exec::profile_plans_topk(&self.db, &view.catalog, &prepared.plans, mode, k, None);
-        drop(exec_span);
-        let exec_time = t.elapsed();
-
-        let t = Instant::now();
-        let present_span = xkw_obs::span!("query.present", rows = results.rows.len());
-        let mttons = results.mttons();
-        drop(present_span);
-        let present = t.elapsed();
-
-        let metrics = QueryMetrics {
-            discover: prepared.discover,
-            plan: prepared.plan,
-            exec: exec_time,
-            present,
-            plan_cache_hit: prepared.plan_cache_hit,
-            plans: prepared.plans.len(),
-            partial_cache_hits: results.stats.cache_hits,
-            partial_cache_misses: results.stats.cache_misses,
-            io_hits: results.stats.io_hits,
-            io_misses: results.stats.io_misses,
-            plans_pruned: results.prune.plans_pruned,
-            plans_early_stopped: results.prune.plans_early_stopped,
-        };
-        self.stats.lock().absorb(&metrics);
-        publish_query_metrics(&metrics, &results);
-        let profiles: Vec<PlanProfile> = raw
-            .iter()
-            .map(|p| self.plan_profile(&view.catalog, &prepared.plans[p.plan], p))
-            .collect();
-        drop(query_span);
-        let info = RunInfo {
-            path: "explain",
-            k: Some(k),
-            deadline: None,
-            prune: true,
-        };
-        self.record_query(
-            keywords,
-            z,
-            mode,
-            info,
-            &metrics,
-            &results,
-            start.elapsed(),
-            Some(ExplainCapture {
-                io_hits: metrics.io_hits,
-                io_misses: metrics.io_misses,
-                profiles: profiles.clone(),
-            }),
-        );
-        Ok(ExplainReport {
-            outcome: QueryOutcome {
-                results,
-                mttons,
-                metrics,
-            },
-            profiles,
-        })
     }
 
     /// Dresses one plan's raw measurements in catalog/TSS names.
@@ -1178,23 +958,6 @@ impl ExplainReport {
             m.plan_cache_hit
         );
         out
-    }
-}
-
-/// [`ExecMode`] → the obs-layer [`RecordedMode`] (obs sits below core in
-/// the dependency stack, so it mirrors the enum instead of using it).
-fn recorded_mode(mode: ExecMode) -> RecordedMode {
-    match mode {
-        ExecMode::Naive => RecordedMode::Naive,
-        ExecMode::Cached { capacity } => RecordedMode::Cached { capacity },
-    }
-}
-
-/// [`RecordedMode`] → [`ExecMode`], for deferred EXPLAIN re-runs.
-fn exec_mode_of(mode: RecordedMode) -> ExecMode {
-    match mode {
-        RecordedMode::Naive => ExecMode::Naive,
-        RecordedMode::Cached { capacity } => ExecMode::Cached { capacity },
     }
 }
 
@@ -1356,11 +1119,13 @@ mod tests {
         assert_send_sync::<QueryEngine>();
     }
 
+    const CACHED: ExecMode = ExecMode::Cached { capacity: 1024 };
+
     #[test]
-    fn query_all_reports_stage_metrics() {
+    fn query_reports_stage_metrics() {
         let e = engine();
         let out = e
-            .query_all(&["john", "vcr"], 8, ExecMode::Cached { capacity: 1024 })
+            .query(&QuerySpec::all(&["john", "vcr"], 8, CACHED))
             .unwrap();
         assert_eq!(out.mttons.iter().map(|m| m.score).min(), Some(6));
         assert!(!out.metrics.plan_cache_hit, "first query plans cold");
@@ -1371,25 +1136,75 @@ mod tests {
         assert_eq!(s.plan_cache_misses, 1);
     }
 
+    /// EXPLAIN is the query path with measurement attached: for every
+    /// kind of spec the rows equal the plain query's, summed per-operator
+    /// I/O equals the query's own total, there is one profile per plan,
+    /// and the flight record carries the capture.
     #[test]
-    fn explain_io_decomposes_query_total() {
+    fn explain_is_the_same_path_and_decomposes_io() {
         let e = engine();
-        let mode = ExecMode::Cached { capacity: 1024 };
-        let report = e.explain(&["john", "vcr"], 8, mode).unwrap();
-        let m = &report.outcome.metrics;
-        // Summed per-operator attributed I/O equals the query's own total.
-        assert_eq!(report.io_total(), m.io_hits + m.io_misses);
-        assert!(report.io_total() > 0);
-        assert_eq!(report.profiles.len(), m.plans);
-        // The profiled run produces the same answers as a plain query.
-        let plain = e.query_all(&["john", "vcr"], 8, mode).unwrap();
-        assert_eq!(report.outcome.mttons, plain.mttons);
-        // And the rendering names both operator kinds plus the stage line.
-        let text = report.render();
-        assert!(text.contains("drive "), "{text}");
-        assert!(text.contains("probe "), "{text}");
-        assert!(text.contains("stages:"), "{text}");
-        assert_eq!(e.stats().queries, 2, "explain counts as a query");
+        let kws = ["us", "vcr"];
+        for spec in [
+            QuerySpec::all(&kws, 8, CACHED),
+            QuerySpec::all_hash(&kws, 8),
+            QuerySpec {
+                threads: 2,
+                ..QuerySpec::topk(&kws, 8, 1, CACHED)
+            },
+            QuerySpec {
+                prune: false,
+                ..QuerySpec::topk(&kws, 8, 3, ExecMode::Naive)
+            },
+        ] {
+            let report = e.explain(&spec).unwrap();
+            let m = &report.outcome.metrics;
+            assert_eq!(report.io_total(), m.io_hits + m.io_misses, "{spec:?}");
+            assert!(report.io_total() > 0);
+            assert_eq!(report.profiles.len(), m.plans);
+            let plain = e.query(&spec).unwrap();
+            assert_eq!(report.outcome.results.rows, plain.results.rows, "{spec:?}");
+            assert_eq!(report.outcome.mttons, plain.mttons);
+            // Pruned plans carry zero I/O, so the sum above survives
+            // pruning; every one of them is counted.
+            if report.outcome.results.prune.enabled {
+                assert_eq!(
+                    m.plans_pruned,
+                    report.profiles.iter().filter(|p| p.pruned).count()
+                );
+            }
+            let text = report.render();
+            assert!(text.contains("drive "), "{text}");
+            assert!(text.contains("stages:"), "{text}");
+            match spec.join {
+                Join::NestedLoop(_) => assert!(text.contains("probe "), "{text}"),
+                Join::Hash => assert!(!text.contains("probe "), "{text}"),
+            }
+            let records = e.recorder().records();
+            let [.., explained, queried] = records.as_slice() else {
+                panic!("two records per spec");
+            };
+            assert_eq!(explained.path, "explain");
+            assert!(explained.explain.is_some() && queried.explain.is_none());
+            assert_eq!(explained.result_digest, queried.result_digest);
+        }
+        assert_eq!(e.stats().queries, 8, "explain counts as a query");
+    }
+
+    /// Once a row lands, every later plan's bound exceeds the k=1
+    /// threshold — so every plan after the first emitting one shows up
+    /// pruned in the top-1 EXPLAIN.
+    #[test]
+    fn explain_marks_pruned_plans() {
+        let e = engine();
+        let report = e
+            .explain(&QuerySpec::topk(&["us", "vcr"], 8, 1, CACHED))
+            .unwrap();
+        let first = report.outcome.results.rows[0].plan;
+        assert!(report.profiles.len() > first + 1);
+        for p in &report.profiles {
+            assert_eq!(p.pruned, p.plan > first, "plan {}", p.plan);
+        }
+        assert!(report.render().contains("pruned by top-k threshold"));
     }
 
     #[test]
@@ -1405,8 +1220,9 @@ mod tests {
             e.prepare(&["john", "florp"], 8).unwrap_err(),
             XkError::UnknownKeyword("florp".to_owned())
         );
+        let zero_cache = ExecMode::Cached { capacity: 0 };
         assert!(matches!(
-            e.query_all(&["john", "vcr"], 8, ExecMode::Cached { capacity: 0 }),
+            e.query(&QuerySpec::all(&["john", "vcr"], 8, zero_cache)),
             Err(XkError::BadMode(_))
         ));
         assert_eq!(e.stats().errors, 4);
@@ -1462,83 +1278,35 @@ mod tests {
     #[test]
     fn topk_and_hash_agree_with_all() {
         let e = engine();
-        let all = e.query_all(&["us", "vcr"], 8, ExecMode::Naive).unwrap();
-        let hash = e.query_all_hash(&["us", "vcr"], 8).unwrap();
+        let kws = ["us", "vcr"];
+        let all = e.query(&QuerySpec::all(&kws, 8, ExecMode::Naive)).unwrap();
+        let hash = e.query(&QuerySpec::all_hash(&kws, 8)).unwrap();
         assert_eq!(all.mttons, hash.mttons);
         // Top-k contents: exactly the first k rows of the full result in
-        // (score, plan, assignment) order, for every thread count.
-        let mut expect = all.results.rows.clone();
-        expect.sort_by(|a, b| {
+        // (score, plan, assignment) order, for every thread count — and
+        // pruning is invisible in them.
+        let mut sorted = all.results.rows.clone();
+        sorted.sort_by(|a, b| {
             (a.score, a.plan, &a.assignment).cmp(&(b.score, b.plan, &b.assignment))
         });
-        expect.truncate(5);
-        for threads in [1, 2, 8] {
-            let top = e
-                .query_topk(
-                    &["us", "vcr"],
-                    8,
-                    5,
-                    ExecMode::Cached { capacity: 1024 },
-                    threads,
-                )
-                .unwrap();
-            assert_eq!(top.results.rows, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn topk_pruning_is_invisible_in_results() {
-        let e = engine();
-        let mode = ExecMode::Cached { capacity: 1024 };
-        for k in [1, 3, 20] {
+        for k in [1, 3, 5, 20] {
+            let mut expect = sorted.clone();
+            expect.truncate(k);
             for threads in [1, 2, 8] {
-                let pruned = e
-                    .query_topk_opts(&["us", "vcr"], 8, k, mode, threads, None, true)
-                    .unwrap();
-                let plain = e
-                    .query_topk_opts(&["us", "vcr"], 8, k, mode, threads, None, false)
-                    .unwrap();
-                assert_eq!(
-                    pruned.results.rows, plain.results.rows,
-                    "k={k} threads={threads}"
-                );
-                assert!(pruned.results.prune.enabled);
-                assert!(!plain.results.prune.enabled);
+                for prune in [true, false] {
+                    let top = e
+                        .query(&QuerySpec {
+                            threads,
+                            prune,
+                            ..QuerySpec::topk(&kws, 8, k, CACHED)
+                        })
+                        .unwrap();
+                    assert_eq!(top.results.rows, expect, "k={k} threads={threads}");
+                    assert_eq!(top.results.prune.enabled, prune);
+                }
             }
         }
-        let s = e.stats();
-        assert_eq!(s.queries, 18);
-    }
-
-    #[test]
-    fn explain_topk_decomposes_io_and_marks_pruned_plans() {
-        let e = engine();
-        let mode = ExecMode::Cached { capacity: 1024 };
-        let report = e.explain_topk(&["us", "vcr"], 8, 1, mode).unwrap();
-        let m = &report.outcome.metrics;
-        // The accounting invariant survives pruning: pruned plans carry
-        // zero I/O, so profile sums still reproduce the query totals.
-        assert_eq!(report.io_total(), m.io_hits + m.io_misses);
-        assert_eq!(report.profiles.len(), m.plans);
-        assert_eq!(
-            m.plans_pruned,
-            report.profiles.iter().filter(|p| p.pruned).count()
-        );
-        // The profiled top-1 equals the plain top-k path's answer.
-        let plain = e.query_topk(&["us", "vcr"], 8, 1, mode, 1).unwrap();
-        assert_eq!(report.outcome.results.rows, plain.results.rows);
-        // Once a row lands, every later plan's bound exceeds the k=1
-        // threshold — so if any plan follows the first emitting one, it
-        // must show up pruned.
-        let first_row_plan = report.outcome.results.rows.first().map(|r| r.plan);
-        if let Some(f) = first_row_plan {
-            if report.profiles.iter().any(|p| p.plan > f) {
-                assert!(m.plans_pruned > 0, "later plans must be pruned at k=1");
-                let text = report.render();
-                assert!(text.contains("pruned by top-k threshold"), "{text}");
-            }
-        }
-        assert!(report.render().contains("stages:"));
+        assert_eq!(e.stats().queries, 26);
     }
 
     /// Installing a view bumps the epoch, clears the plan cache, and
@@ -1558,30 +1326,32 @@ mod tests {
         // Same shape plans cold again, and queries still answer correctly.
         assert!(!e.prepare(&["john", "vcr"], 8).unwrap().plan_cache_hit);
         let out = e
-            .query_all(&["john", "vcr"], 8, ExecMode::Cached { capacity: 1024 })
+            .query(&QuerySpec::all(&["john", "vcr"], 8, CACHED))
             .unwrap();
         assert_eq!(out.mttons.iter().map(|m| m.score).min(), Some(6));
     }
 
-    /// `query_all`/`query_all_hash` return the same outcome for any
-    /// engine-level thread setting.
+    /// The worker count never changes an outcome, on either join; the
+    /// frozen delegates read the engine-level setting.
     #[test]
-    fn exec_threads_setting_does_not_change_results() {
+    fn threads_do_not_change_results() {
         let e = engine();
-        let reference = e
-            .query_all(&["us", "vcr"], 8, ExecMode::Cached { capacity: 1024 })
-            .unwrap();
-        let hash_reference = e.query_all_hash(&["us", "vcr"], 8).unwrap();
+        let kws = ["us", "vcr"];
+        let reference = e.query(&QuerySpec::all(&kws, 8, CACHED)).unwrap();
+        let hash_reference = e.query(&QuerySpec::all_hash(&kws, 8)).unwrap();
         assert_eq!(e.exec_threads(), 1);
         for threads in [2, 4, 8] {
-            e.set_exec_threads(threads);
-            assert_eq!(e.exec_threads(), threads);
             let got = e
-                .query_all(&["us", "vcr"], 8, ExecMode::Cached { capacity: 1024 })
+                .query(&QuerySpec {
+                    threads,
+                    ..QuerySpec::all(&kws, 8, CACHED)
+                })
                 .unwrap();
             assert_eq!(got.results.rows, reference.results.rows);
             assert_eq!(got.mttons, reference.mttons);
-            let hash = e.query_all_hash(&["us", "vcr"], 8).unwrap();
+            e.set_exec_threads(threads);
+            assert_eq!(e.exec_threads(), threads);
+            let hash = e.query_all_hash(&kws, 8).unwrap();
             assert_eq!(hash.results.rows, hash_reference.results.rows);
         }
         e.set_exec_threads(0); // clamped, never zero workers

@@ -3,8 +3,8 @@
 //! Every failure a query can hit — malformed input, a keyword the master
 //! index has never seen, a plan referencing a connection relation the
 //! catalog does not hold, a contradictory execution mode — is a value of
-//! [`XkError`]. The [`crate::engine::QueryEngine`] returns these from all
-//! `query_*`/`prepare` paths so a bad query on a shared, long-lived
+//! [`XkError`]. The [`crate::engine::QueryEngine`] returns these from
+//! `query`/`explain`/`prepare` so a bad query on a shared, long-lived
 //! engine degrades into an error result instead of a panic; the
 //! [`crate::xkeyword::XKeyword`] façade keeps its legacy soft semantics
 //! (unknown keywords → empty results) by mapping over them.

@@ -1,27 +1,39 @@
-//! Execution engines (§6).
+//! The execution module (§6).
 //!
-//! * [`eval_plan`] — nested-loop evaluation of one CTSSN plan, driven by
-//!   index/clustered probes of connection relations, with two modes:
-//!   [`ExecMode::Naive`] (re-sends every probe — the DISCOVER/DBXplorer
-//!   baseline) and [`ExecMode::Cached`] (the optimized algorithm of §6
-//!   that memoizes partial results in a fixed-size cache keyed by the
-//!   structural suffix signature + frontier bindings, avoiding the
-//!   duplicate inner loops that multivalued-dependency-style redundancy
-//!   causes — and sharing them across candidate networks with identical
-//!   suffixes, the DISCOVER-style reuse).
-//! * [`topk`] — the web-search-engine presentation: a pool of threads,
-//!   one candidate network at a time starting from the smallest, until K
-//!   results have been produced overall.
-//! * [`all_results`] — full evaluation of every plan via in-memory hash
-//!   joins over scanned relations (the regime where the paper's
-//!   `MinNClustNIndx` decomposition wins).
+//! One operation: evaluate candidate-network plans in score order,
+//! smallest first, optionally under a global top-K cutoff. An
+//! [`ExecRequest`] names the plans and the six orthogonal choices —
+//! join algorithm, `k`, pruning, worker threads, deadline, and (by
+//! calling [`execute_profiled`] instead of [`execute`]) per-probe
+//! measurement — and one driver with one plan-claim loop evaluates every
+//! combination:
+//!
+//! * [`Join::NestedLoop`] — nested-loop evaluation of a CTSSN plan,
+//!   driven by index/clustered probes of connection relations, with two
+//!   modes: [`ExecMode::Naive`] (re-sends every probe — the
+//!   DISCOVER/DBXplorer baseline) and [`ExecMode::Cached`] (the optimized
+//!   algorithm of §6 that memoizes partial results in a fixed-size cache
+//!   keyed by the structural suffix signature + frontier bindings,
+//!   avoiding the duplicate inner loops that multivalued-dependency-style
+//!   redundancy causes — and sharing them across candidate networks with
+//!   identical suffixes, the DISCOVER-style reuse).
+//! * [`Join::Hash`] — full evaluation via in-memory hash joins over
+//!   scanned relations (the regime where the paper's `MinNClustNIndx`
+//!   decomposition wins).
+//! * `k: Some(_)` — the web-search-engine presentation: a pool of
+//!   threads, one candidate network at a time starting from the
+//!   smallest, until K results have been produced overall.
+//!
+//! [`eval_plan`], [`eval_anchored`] and [`ResultStream`] evaluate single
+//! plans outside the driver, for the presentation graph and the
+//! page-by-page stream.
 //!
 //! Cached completions are pure join results (shared-role consistency +
 //! keyword-candidate filters); the role-distinctness requirement of the
 //! tree-isomorphism semantics is checked at emission, so cache entries
 //! stay reusable under any outer binding.
 //!
-//! All engines emit [`ResultRow`]s (a role→TO assignment plus the CN
+//! All paths emit [`ResultRow`]s (a role→TO assignment plus the CN
 //! score) and report [`ExecStats`] (probe counts, rows, cache traffic) so
 //! experiments can report logical work next to wall time.
 
@@ -125,25 +137,17 @@ pub struct ExecCtl {
 }
 
 impl ExecCtl {
-    /// A control block that never stops evaluation (the default for all
-    /// legacy entry points).
+    /// A control block that never stops evaluation.
     pub fn unbounded() -> Self {
         ExecCtl::default()
     }
 
-    /// A control block that stops evaluation `budget` from now.
-    pub fn with_deadline(budget: Duration) -> Self {
-        ExecCtl {
-            deadline: Instant::now().checked_add(budget),
-            stop: AtomicBool::new(false),
-        }
-    }
-
-    /// A control block with an optional budget (`None` = unbounded).
+    /// A control block that stops evaluation `budget` from now (`None` =
+    /// unbounded).
     pub fn within(budget: Option<Duration>) -> Self {
-        match budget {
-            Some(d) => ExecCtl::with_deadline(d),
-            None => ExecCtl::unbounded(),
+        ExecCtl {
+            deadline: budget.and_then(|d| Instant::now().checked_add(d)),
+            stop: AtomicBool::new(false),
         }
     }
 
@@ -256,21 +260,16 @@ impl SessionBudget {
 /// top-k row?" — `false` means at least `k` collected rows already sort
 /// strictly before every row this plan can produce.
 #[derive(Clone, Copy)]
-pub(crate) struct PrunePoll<'a> {
+struct PrunePoll<'a> {
     cell: &'a AtomicU64,
     bound: u64,
 }
 
-impl<'a> PrunePoll<'a> {
-    /// A poll of `cell` against the fixed per-plan `bound` key.
-    pub(crate) fn new(cell: &'a AtomicU64, bound: u64) -> Self {
-        PrunePoll { cell, bound }
-    }
-
+impl PrunePoll<'_> {
     /// Whether the plan is now beaten: the published k-th-best key is
     /// *strictly* smaller than every key this plan can produce. Strict,
     /// so a plan's own rows (key == bound) never cut the plan itself.
-    pub(crate) fn cut(&self) -> bool {
+    fn cut(&self) -> bool {
         self.cell.load(Ordering::Relaxed) < self.bound
     }
 }
@@ -278,14 +277,14 @@ impl<'a> PrunePoll<'a> {
 /// What the inner evaluation loops poll at probe boundaries: the query's
 /// control block (deadline / stop flag) plus, on the pruned top-k path,
 /// the threshold poll for the plan under evaluation.
-pub(crate) struct ProbeCtl<'a> {
+struct ProbeCtl<'a> {
     exec: &'a ExecCtl,
     prune: Option<PrunePoll<'a>>,
 }
 
 impl<'a> ProbeCtl<'a> {
     /// A probe control without threshold pruning (every non-top-k path).
-    pub(crate) fn plain(exec: &'a ExecCtl) -> Self {
+    fn plain(exec: &'a ExecCtl) -> Self {
         ProbeCtl { exec, prune: None }
     }
 
@@ -296,7 +295,7 @@ impl<'a> ProbeCtl<'a> {
 
 /// Why an evaluation stopped before completing a plan (internal to the
 /// executors; surfaced as [`Degradation`] / [`XkError`]).
-pub(crate) enum EvalAbort {
+enum EvalAbort {
     /// The query deadline elapsed.
     Deadline,
     /// The top-k threshold proved the plan can no longer contribute.
@@ -315,8 +314,8 @@ impl std::fmt::Display for EvalAbort {
     }
 }
 
-/// Unwraps an evaluator result on the legacy infallible paths, turning
-/// an abort into a panic (unbounded control blocks never produce
+/// Unwraps an evaluator result on the infallible single-plan paths,
+/// turning an abort into a panic (unbounded control blocks never produce
 /// [`EvalAbort::Deadline`], so this only fires on store faults — the
 /// same behavior the panicking store accessors had).
 fn unwrap_abort<T>(r: Result<T, EvalAbort>) -> T {
@@ -386,25 +385,37 @@ fn worker_panic(pi: usize, payload: Box<dyn std::any::Any + Send>) -> XkError {
 }
 
 /// Observes individual store probes during nested-loop evaluation — the
-/// hook EXPLAIN ANALYZE hangs off. The production paths pass
+/// hook EXPLAIN ANALYZE hangs off. The driver creates one per claimed
+/// plan and harvests it when the plan is done. Unprofiled runs use
 /// [`NoProbeObs`], a ZST whose methods compile to nothing, so the hot
 /// loop pays for instrumentation only in profiled runs.
 pub trait ProbeObserver {
-    /// Whether probes should be measured (lets [`eval_plan`] skip the
-    /// per-probe I/O snapshots and clock reads entirely).
-    fn active(&self) -> bool {
-        false
-    }
+    /// Whether probes are measured at all (lets the evaluator skip the
+    /// per-probe I/O snapshots and clock reads entirely, and the driver
+    /// its per-plan clock).
+    const ACTIVE: bool = false;
+    /// An observer for a plan with `n` tile steps.
+    fn for_steps(n: usize) -> Self;
     /// One store probe: plan step, rows returned, attributed buffer-pool
     /// delta and elapsed wall time.
     fn record(&mut self, _step: usize, _rows: u64, _io: IoSnapshot, _nanos: u64) {}
+    /// The per-step totals observed.
+    fn into_steps(self) -> Vec<StepProbe>;
 }
 
-/// The no-op observer of the production execution paths.
+/// The no-op observer of the unprofiled execution paths.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoProbeObs;
 
-impl ProbeObserver for NoProbeObs {}
+impl ProbeObserver for NoProbeObs {
+    fn for_steps(_: usize) -> Self {
+        NoProbeObs
+    }
+
+    fn into_steps(self) -> Vec<StepProbe> {
+        Vec::new()
+    }
+}
 
 /// Per-step probe totals accumulated by [`StepProbeObs`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -428,18 +439,13 @@ pub struct StepProbeObs {
     pub steps: Vec<StepProbe>,
 }
 
-impl StepProbeObs {
-    /// An observer sized for a plan with `n` tile steps.
-    pub fn for_steps(n: usize) -> Self {
+impl ProbeObserver for StepProbeObs {
+    const ACTIVE: bool = true;
+
+    fn for_steps(n: usize) -> Self {
         StepProbeObs {
             steps: vec![StepProbe::default(); n],
         }
-    }
-}
-
-impl ProbeObserver for StepProbeObs {
-    fn active(&self) -> bool {
-        true
     }
 
     fn record(&mut self, step: usize, rows: u64, io: IoSnapshot, nanos: u64) {
@@ -450,14 +456,18 @@ impl ProbeObserver for StepProbeObs {
         s.io_misses += io.misses;
         s.nanos += nanos;
     }
+
+    fn into_steps(self) -> Vec<StepProbe> {
+        self.steps
+    }
 }
 
 /// The partial-result cache key: suffix signature + frontier bindings.
 pub type PartialKey = (Arc<str>, Vec<ToId>);
 
 /// The partial-result cache: suffix signature + frontier bindings →
-/// completions (bindings of the suffix's fresh roles, in
-/// [`suffix_fresh_roles`] order).
+/// completions (bindings of the roles first bound anywhere in the
+/// suffix, in step order).
 pub type PartialCache = LruCache<PartialKey, Arc<Vec<Vec<ToId>>>>;
 
 /// What the cached evaluator needs from a partial-result cache. Lets
@@ -481,6 +491,29 @@ impl PartialCacheOps for PartialCache {
     }
 }
 
+/// `T`s behind lock stripes, one picked by key hash: what the worker
+/// threads of one request share.
+struct Striped<T> {
+    shards: Vec<Mutex<T>>,
+}
+
+impl<T> Striped<T> {
+    /// Enough shards for `threads` workers (next power of two, capped
+    /// at 32), each built by `shard` from the shard count.
+    fn new(threads: usize, shard: impl Fn(usize) -> T) -> Self {
+        let n = threads.clamp(1, 32).next_power_of_two();
+        Striped {
+            shards: (0..n).map(|_| Mutex::new(shard(n))).collect(),
+        }
+    }
+
+    fn shard_of(&self, key: &impl Hash) -> &Mutex<T> {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[h.finish() as usize & (self.shards.len() - 1)]
+    }
+}
+
 /// A lock-striped partial-result cache shared by the worker threads of
 /// one query, so the §6 DISCOVER-style suffix reuse crosses candidate
 /// networks even when those networks run on different threads: a suffix
@@ -488,59 +521,236 @@ impl PartialCacheOps for PartialCache {
 /// CN with the same structural suffix. Entries are `Arc`s of pure join
 /// results (no binding-dependent state), so sharing is coherent by
 /// construction — a racing recompute produces an identical value.
-pub struct SharedPartialCache {
-    shards: Vec<Mutex<PartialCache>>,
-}
+pub struct SharedPartialCache(Striped<PartialCache>);
 
 impl SharedPartialCache {
-    /// A cache of `capacity` total entries striped into enough shards
-    /// for `threads` workers (next power of two, capped at 32).
+    /// A cache of `mode`'s capacity in total, striped for `threads`
+    /// workers.
     pub fn new(mode: ExecMode, threads: usize) -> Self {
         let capacity = match mode {
             ExecMode::Naive => 0,
             ExecMode::Cached { capacity } => capacity,
         };
-        let nshards = threads.clamp(1, 32).next_power_of_two();
-        let per_shard = capacity.div_ceil(nshards);
-        SharedPartialCache {
-            shards: (0..nshards)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
-                .collect(),
-        }
-    }
-
-    fn shard_of(&self, key: &PartialKey) -> &Mutex<PartialCache> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize & (self.shards.len() - 1)]
-    }
-
-    /// Aggregate `(hits, misses)` across shards.
-    pub fn stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = s.lock().stats();
-            (h + sh, m + sm)
-        })
+        SharedPartialCache(Striped::new(threads, |n| {
+            LruCache::new(capacity.div_ceil(n))
+        }))
     }
 }
 
 impl PartialCacheOps for &SharedPartialCache {
     fn lookup(&mut self, key: &PartialKey) -> Option<Arc<Vec<Vec<ToId>>>> {
-        self.shard_of(key).lock().get(key).cloned()
+        self.0.shard_of(key).lock().get(key).cloned()
     }
 
     fn store(&mut self, key: PartialKey, value: Arc<Vec<Vec<ToId>>>) {
-        self.shard_of(&key).lock().put(key, value);
+        self.0.shard_of(&key).lock().put(key, value);
     }
 }
 
-/// Roles first bound anywhere in the suffix starting at step `i`.
-fn suffix_fresh_roles(plan: &CtssnPlan, i: usize) -> Vec<u8> {
-    plan.new_roles[i..].iter().flatten().copied().collect()
+/// One plan's nested-loop evaluation: everything the recursion over
+/// tile steps threads through every level. `C` and `O` are
+/// monomorphised, so the production [`NoProbeObs`] costs nothing.
+struct NestedLoopEval<'a, C, O> {
+    db: &'a Db,
+    catalog: &'a RelationCatalog,
+    plan: &'a CtssnPlan,
+    mode: ExecMode,
+    cache: &'a mut C,
+    stats: &'a mut ExecStats,
+    obs: &'a mut O,
+    ctl: ProbeCtl<'a>,
+}
+
+impl<C: PartialCacheOps, O: ProbeObserver> NestedLoopEval<'_, C, O> {
+    /// Evaluates the plan over every driver candidate, calling `emit`
+    /// for each result: stops at the control block's deadline and
+    /// propagates unrecoverable store faults as typed aborts instead of
+    /// panicking. Buffer-pool traffic is charged to `stats` even when the
+    /// evaluation aborts.
+    ///
+    /// `limit` is the pushed-down per-plan result budget: evaluation
+    /// returns `Break` once `limit` rows have been emitted, exactly as if
+    /// `emit` had broken on the `limit`-th row (`usize::MAX` =
+    /// unlimited). The budget caps *emission*, never the materialization
+    /// of cached completions — a truncated completion list in the shared
+    /// cache would silently corrupt every later query that hits it.
+    ///
+    /// When the control block's top-k threshold poll trips at a probe
+    /// boundary, evaluation aborts with [`EvalAbort::Pruned`] (rows
+    /// already emitted stay with the caller; see `Run::claim_plans` for
+    /// why that is sound).
+    fn plan(
+        &mut self,
+        plan_idx: usize,
+        limit: usize,
+        emit: &mut dyn FnMut(ResultRow) -> ControlFlow<()>,
+    ) -> Result<ControlFlow<()>, EvalAbort> {
+        let plan = self.plan;
+        let _span = xkw_obs::span!(
+            "exec.plan",
+            plan = plan_idx,
+            score = plan.score,
+            tiles = plan.tiles.len()
+        );
+        let driver_cands = plan.candidates[plan.driver as usize]
+            .as_ref()
+            .expect("driver is annotated");
+        let mut produced = 0usize;
+        let mut limited = |row| {
+            if emit(row).is_break() {
+                return ControlFlow::Break(());
+            }
+            produced += 1;
+            if produced >= limit {
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        };
+        let io_before = self.db.local_io();
+        let mut assignment = vec![None; plan.role_count()];
+        // Candidate sets are stored sorted — ascending iteration is the
+        // deterministic order reproducibility relies on.
+        let mut flow = Ok(ControlFlow::Continue(()));
+        for to in driver_cands.iter() {
+            flow = self.driver_binding(plan_idx, to, &mut assignment, &mut limited);
+            if !matches!(flow, Ok(ControlFlow::Continue(()))) {
+                break;
+            }
+        }
+        charge_local_io(self.stats, self.db, io_before);
+        flow
+    }
+
+    /// Emits every result with the driver role bound to `to`.
+    /// `assignment` is scratch: one unbound slot per role, going in and
+    /// coming out (unless the evaluation aborts).
+    fn driver_binding(
+        &mut self,
+        plan_idx: usize,
+        to: ToId,
+        assignment: &mut Vec<Option<ToId>>,
+        emit: &mut dyn FnMut(ResultRow) -> ControlFlow<()>,
+    ) -> Result<ControlFlow<()>, EvalAbort> {
+        let plan = self.plan;
+        assignment[plan.driver as usize] = Some(to);
+        let subs = self.completions(0, assignment)?;
+        let mut flow = ControlFlow::Continue(());
+        for sub in subs.iter() {
+            for (r, v) in plan.new_roles.iter().flatten().zip(sub) {
+                assignment[*r as usize] = Some(*v);
+            }
+            if check_distinct(plan, assignment) {
+                self.stats.results += 1;
+                flow = emit(ResultRow {
+                    plan: plan_idx,
+                    assignment: assignment.iter().map(|a| a.unwrap()).collect(),
+                    score: plan.score,
+                });
+                if flow.is_break() {
+                    break;
+                }
+            }
+        }
+        assignment.fill(None);
+        Ok(flow)
+    }
+
+    /// All completions of the suffix `i..` — bindings for the roles
+    /// first bound in it (`new_roles[i..]`, flattened), computed by
+    /// probing — and, in
+    /// cached mode, memoized on (suffix signature, frontier bindings).
+    /// Aborted computations are **never** stored — a partial completion
+    /// in the cache would silently truncate every later query that hits
+    /// it.
+    fn completions(
+        &mut self,
+        i: usize,
+        assignment: &mut Vec<Option<ToId>>,
+    ) -> Result<Arc<Vec<Vec<ToId>>>, EvalAbort> {
+        let plan = self.plan;
+        if i == plan.tiles.len() {
+            return Ok(Arc::new(vec![Vec::new()]));
+        }
+        let key = matches!(self.mode, ExecMode::Cached { .. }).then(|| {
+            let frontier = plan.key_roles[i]
+                .iter()
+                .map(|&r| assignment[r as usize].expect("key role bound"))
+                .collect::<Vec<ToId>>();
+            (plan.step_sigs[i].clone(), frontier)
+        });
+        if let Some(key) = &key {
+            if let Some(hit) = self.cache.lookup(key) {
+                self.stats.cache_hits += 1;
+                return Ok(hit);
+            }
+            self.stats.cache_misses += 1;
+        }
+        let mut out: Vec<Vec<ToId>> = Vec::new();
+        for row in self.probe_tile(i, assignment)? {
+            if bind_row(plan, i, &row, assignment) {
+                let local: Vec<ToId> = plan.new_roles[i]
+                    .iter()
+                    .map(|&r| assignment[r as usize].expect("bound"))
+                    .collect();
+                let subs = self.completions(i + 1, assignment);
+                unbind_row(plan, i, assignment);
+                for sub in subs?.iter() {
+                    let mut c = local.clone();
+                    c.extend_from_slice(sub);
+                    out.push(c);
+                }
+            }
+        }
+        let arc = Arc::new(out);
+        if let Some(key) = key {
+            self.cache.store(key, arc.clone());
+        }
+        Ok(arc)
+    }
+
+    /// Probes tile `i`'s relation on its currently-bound columns. Checks
+    /// the control block first (the probe boundary is the cancellation
+    /// point — for the deadline and for the top-k threshold alike) and
+    /// reports unrecoverable store faults as aborts.
+    fn probe_tile(&mut self, i: usize, assignment: &[Option<ToId>]) -> Result<Vec<Row>, EvalAbort> {
+        if self.ctl.exec.should_stop() {
+            return Err(EvalAbort::Deadline);
+        }
+        if self.ctl.cut() {
+            return Err(EvalAbort::Pruned);
+        }
+        let tile = &self.plan.tiles[i];
+        let mut cols: Vec<usize> = Vec::new();
+        let mut key: Vec<ToId> = Vec::new();
+        for (c, &role) in tile.cols_to_roles.iter().enumerate() {
+            if let Some(v) = assignment[role as usize] {
+                cols.push(c);
+                key.push(v);
+            }
+        }
+        self.stats.probes += 1;
+        let measured = O::ACTIVE.then(|| (self.db.local_io(), Instant::now()));
+        let (rows, _) = self
+            .catalog
+            .try_probe(self.db, tile.rel, &cols, &key)
+            .map_err(EvalAbort::Fault)?;
+        if let Some((io_before, t0)) = measured {
+            self.obs.record(
+                i,
+                rows.len() as u64,
+                self.db.local_io().since(io_before),
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
+        self.stats.rows += rows.len() as u64;
+        Ok(rows)
+    }
 }
 
 /// Evaluates one plan, calling `emit` for each result. `emit` may stop
-/// the evaluation early by returning [`ControlFlow::Break`].
+/// the evaluation early by returning [`ControlFlow::Break`]. Unbounded
+/// and infallible: a store fault panics, as the panicking store
+/// accessors do ([`execute`] is the fault-aware path).
 #[allow(clippy::too_many_arguments)]
 pub fn eval_plan<C: PartialCacheOps>(
     db: &Db,
@@ -552,161 +762,18 @@ pub fn eval_plan<C: PartialCacheOps>(
     stats: &mut ExecStats,
     emit: &mut dyn FnMut(ResultRow) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    eval_plan_obs(
-        db,
-        catalog,
-        plan_idx,
-        plan,
-        mode,
-        cache,
-        stats,
-        emit,
-        &mut NoProbeObs,
-    )
-}
-
-/// [`eval_plan`] with a [`ProbeObserver`] — the EXPLAIN ANALYZE entry.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_plan_obs<C: PartialCacheOps, O: ProbeObserver>(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plan_idx: usize,
-    plan: &CtssnPlan,
-    mode: ExecMode,
-    cache: &mut C,
-    stats: &mut ExecStats,
-    emit: &mut dyn FnMut(ResultRow) -> ControlFlow<()>,
-    obs: &mut O,
-) -> ControlFlow<()> {
     let ctl = ExecCtl::unbounded();
-    unwrap_abort(eval_plan_bounded(
+    let mut eval = NestedLoopEval {
         db,
         catalog,
-        plan_idx,
         plan,
         mode,
         cache,
         stats,
-        emit,
-        obs,
-        &ctl,
-        usize::MAX,
-        None,
-    ))
-}
-
-/// The fault- and deadline-aware core of [`eval_plan`]: stops at the
-/// control block's deadline and propagates unrecoverable store faults as
-/// typed aborts instead of panicking. Buffer-pool traffic is charged to
-/// `stats` even when the evaluation aborts.
-///
-/// `limit` is the pushed-down per-plan result budget: evaluation returns
-/// `Break` once `limit` rows have been emitted, exactly as if `emit` had
-/// broken on the `limit`-th row (`usize::MAX` = unlimited). The budget
-/// caps *emission*, never the materialization of cached completions — a
-/// truncated completion list in the shared cache would silently corrupt
-/// every later query that hits it.
-///
-/// `prune` is the top-k threshold poll: when it trips at a probe
-/// boundary, evaluation aborts with [`EvalAbort::Pruned`] (rows already
-/// emitted stay with the caller; see [`topk`] for why that is sound).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_plan_bounded<C: PartialCacheOps, O: ProbeObserver>(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plan_idx: usize,
-    plan: &CtssnPlan,
-    mode: ExecMode,
-    cache: &mut C,
-    stats: &mut ExecStats,
-    emit: &mut dyn FnMut(ResultRow) -> ControlFlow<()>,
-    obs: &mut O,
-    ctl: &ExecCtl,
-    limit: usize,
-    prune: Option<PrunePoll<'_>>,
-) -> Result<ControlFlow<()>, EvalAbort> {
-    let _span = xkw_obs::span!(
-        "exec.plan",
-        plan = plan_idx,
-        score = plan.score,
-        tiles = plan.tiles.len()
-    );
-    let io_before = db.local_io();
-    let pctl = ProbeCtl { exec: ctl, prune };
-    let flow = eval_plan_inner(
-        db, catalog, plan_idx, plan, mode, cache, stats, emit, obs, &pctl, limit,
-    );
-    charge_local_io(stats, db, io_before);
-    flow
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_plan_inner<C: PartialCacheOps, O: ProbeObserver>(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plan_idx: usize,
-    plan: &CtssnPlan,
-    mode: ExecMode,
-    cache: &mut C,
-    stats: &mut ExecStats,
-    emit: &mut dyn FnMut(ResultRow) -> ControlFlow<()>,
-    obs: &mut O,
-    ctl: &ProbeCtl<'_>,
-    limit: usize,
-) -> Result<ControlFlow<()>, EvalAbort> {
-    let nroles = plan.role_count();
-    let mut assignment: Vec<Option<ToId>> = vec![None; nroles];
-    let driver_cands = plan.candidates[plan.driver as usize]
-        .as_ref()
-        .expect("driver is annotated");
-    let fresh = suffix_fresh_roles(plan, 0);
-    let mut produced = 0usize;
-    // Candidate sets are stored sorted — ascending iteration is the
-    // deterministic order reproducibility relies on.
-    for to in driver_cands.iter() {
-        assignment[plan.driver as usize] = Some(to);
-        let subs = match mode {
-            ExecMode::Naive => {
-                completions_naive(db, catalog, plan, stats, 0, &mut assignment, obs, ctl)?
-            }
-            ExecMode::Cached { .. } => completions_cached(
-                db,
-                catalog,
-                plan,
-                cache,
-                stats,
-                0,
-                &mut assignment,
-                obs,
-                ctl,
-            )?,
-        };
-        for sub in subs.iter() {
-            for (r, v) in fresh.iter().zip(sub) {
-                assignment[*r as usize] = Some(*v);
-            }
-            if check_distinct(plan, &assignment) {
-                stats.results += 1;
-                let flow = emit(ResultRow {
-                    plan: plan_idx,
-                    assignment: assignment.iter().map(|a| a.unwrap()).collect(),
-                    score: plan.score,
-                });
-                if flow.is_break() {
-                    return Ok(ControlFlow::Break(()));
-                }
-                produced += 1;
-                if produced >= limit {
-                    return Ok(ControlFlow::Break(()));
-                }
-            }
-        }
-        for r in &fresh {
-            assignment[*r as usize] = None;
-        }
-        assignment[plan.driver as usize] = None;
-    }
-    Ok(ControlFlow::Continue(()))
+        obs: &mut NoProbeObs,
+        ctl: ProbeCtl::plain(&ctl),
+    };
+    unwrap_abort(eval.plan(plan_idx, usize::MAX, emit))
 }
 
 /// Evaluates a plan anchored at a single driver binding `to` (the
@@ -725,241 +792,26 @@ pub fn eval_anchored<C: PartialCacheOps>(
     stats: &mut ExecStats,
     emit: &mut dyn FnMut(ResultRow) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
+    let candidates = &plan.candidates[plan.driver as usize];
+    if candidates.as_ref().is_some_and(|c| !c.contains(&to)) {
+        return ControlFlow::Continue(());
+    }
     let io_before = db.local_io();
-    let flow = eval_anchored_inner(
+    let ctl = ExecCtl::unbounded();
+    let mut eval = NestedLoopEval {
         db,
         catalog,
         plan,
-        to,
         mode,
         cache,
-        stats,
-        emit,
-        &mut NoProbeObs,
-    );
+        stats: &mut *stats,
+        obs: &mut NoProbeObs,
+        ctl: ProbeCtl::plain(&ctl),
+    };
+    let mut assignment = vec![None; plan.role_count()];
+    let flow = unwrap_abort(eval.driver_binding(usize::MAX, to, &mut assignment, emit));
     charge_local_io(stats, db, io_before);
     flow
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_anchored_inner<C: PartialCacheOps, O: ProbeObserver>(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plan: &CtssnPlan,
-    to: ToId,
-    mode: ExecMode,
-    cache: &mut C,
-    stats: &mut ExecStats,
-    emit: &mut dyn FnMut(ResultRow) -> ControlFlow<()>,
-    obs: &mut O,
-) -> ControlFlow<()> {
-    if let Some(c) = &plan.candidates[plan.driver as usize] {
-        if !c.contains(&to) {
-            return ControlFlow::Continue(());
-        }
-    }
-    let mut assignment: Vec<Option<ToId>> = vec![None; plan.role_count()];
-    assignment[plan.driver as usize] = Some(to);
-    let fresh = suffix_fresh_roles(plan, 0);
-    let ctl = ExecCtl::unbounded();
-    let pctl = ProbeCtl::plain(&ctl);
-    let subs = match mode {
-        ExecMode::Naive => unwrap_abort(completions_naive(
-            db,
-            catalog,
-            plan,
-            stats,
-            0,
-            &mut assignment,
-            obs,
-            &pctl,
-        )),
-        ExecMode::Cached { .. } => unwrap_abort(completions_cached(
-            db,
-            catalog,
-            plan,
-            cache,
-            stats,
-            0,
-            &mut assignment,
-            obs,
-            &pctl,
-        )),
-    };
-    for sub in subs.iter() {
-        for (r, v) in fresh.iter().zip(sub) {
-            assignment[*r as usize] = Some(*v);
-        }
-        if check_distinct(plan, &assignment) {
-            stats.results += 1;
-            let flow = emit(ResultRow {
-                plan: usize::MAX,
-                assignment: assignment.iter().map(|a| a.unwrap()).collect(),
-                score: plan.score,
-            });
-            if flow.is_break() {
-                return ControlFlow::Break(());
-            }
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// All completions of the suffix `i..`: bindings for
-/// `suffix_fresh_roles(plan, i)`, computed by probing (naive mode).
-#[allow(clippy::too_many_arguments)]
-fn completions_naive<O: ProbeObserver>(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plan: &CtssnPlan,
-    stats: &mut ExecStats,
-    i: usize,
-    assignment: &mut Vec<Option<ToId>>,
-    obs: &mut O,
-    ctl: &ProbeCtl<'_>,
-) -> Result<Arc<Vec<Vec<ToId>>>, EvalAbort> {
-    if i == plan.tiles.len() {
-        return Ok(Arc::new(vec![Vec::new()]));
-    }
-    let mut out: Vec<Vec<ToId>> = Vec::new();
-    let rows = probe_tile(db, catalog, plan, i, assignment, stats, obs, ctl)?;
-    for row in rows {
-        if bind_row(plan, i, &row, assignment) {
-            let local: Vec<ToId> = plan.new_roles[i]
-                .iter()
-                .map(|&r| assignment[r as usize].expect("bound"))
-                .collect();
-            let subs = completions_naive(db, catalog, plan, stats, i + 1, assignment, obs, ctl);
-            let subs = match subs {
-                Ok(s) => s,
-                Err(a) => {
-                    unbind_row(plan, i, assignment);
-                    return Err(a);
-                }
-            };
-            for sub in subs.iter() {
-                let mut c = local.clone();
-                c.extend_from_slice(sub);
-                out.push(c);
-            }
-            unbind_row(plan, i, assignment);
-        }
-    }
-    Ok(Arc::new(out))
-}
-
-/// Cached variant: memoized on (suffix signature, frontier bindings).
-/// Aborted computations are **never** stored — a partial completion in
-/// the cache would silently truncate every later query that hits it.
-#[allow(clippy::too_many_arguments)]
-fn completions_cached<C: PartialCacheOps, O: ProbeObserver>(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plan: &CtssnPlan,
-    cache: &mut C,
-    stats: &mut ExecStats,
-    i: usize,
-    assignment: &mut Vec<Option<ToId>>,
-    obs: &mut O,
-    ctl: &ProbeCtl<'_>,
-) -> Result<Arc<Vec<Vec<ToId>>>, EvalAbort> {
-    if i == plan.tiles.len() {
-        return Ok(Arc::new(vec![Vec::new()]));
-    }
-    let key = (
-        plan.step_sigs[i].clone(),
-        plan.key_roles[i]
-            .iter()
-            .map(|&r| assignment[r as usize].expect("key role bound"))
-            .collect::<Vec<ToId>>(),
-    );
-    if let Some(hit) = cache.lookup(&key) {
-        stats.cache_hits += 1;
-        return Ok(hit);
-    }
-    stats.cache_misses += 1;
-    let mut out: Vec<Vec<ToId>> = Vec::new();
-    let rows = probe_tile(db, catalog, plan, i, assignment, stats, obs, ctl)?;
-    for row in rows {
-        if bind_row(plan, i, &row, assignment) {
-            let local: Vec<ToId> = plan.new_roles[i]
-                .iter()
-                .map(|&r| assignment[r as usize].expect("bound"))
-                .collect();
-            let subs =
-                completions_cached(db, catalog, plan, cache, stats, i + 1, assignment, obs, ctl);
-            let subs = match subs {
-                Ok(s) => s,
-                Err(a) => {
-                    unbind_row(plan, i, assignment);
-                    return Err(a);
-                }
-            };
-            for sub in subs.iter() {
-                let mut c = local.clone();
-                c.extend_from_slice(sub);
-                out.push(c);
-            }
-            unbind_row(plan, i, assignment);
-        }
-    }
-    let arc = Arc::new(out);
-    cache.store(key, arc.clone());
-    Ok(arc)
-}
-
-/// Probes tile `i`'s relation on its currently-bound columns. Checks the
-/// control block first (the probe boundary is the cancellation point —
-/// for the deadline and for the top-k threshold alike) and reports
-/// unrecoverable store faults as aborts.
-#[allow(clippy::too_many_arguments)]
-fn probe_tile<O: ProbeObserver>(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plan: &CtssnPlan,
-    i: usize,
-    assignment: &[Option<ToId>],
-    stats: &mut ExecStats,
-    obs: &mut O,
-    ctl: &ProbeCtl<'_>,
-) -> Result<Vec<Row>, EvalAbort> {
-    if ctl.exec.should_stop() {
-        return Err(EvalAbort::Deadline);
-    }
-    if ctl.cut() {
-        return Err(EvalAbort::Pruned);
-    }
-    let tile = &plan.tiles[i];
-    let mut cols: Vec<usize> = Vec::new();
-    let mut key: Vec<ToId> = Vec::new();
-    for (c, &role) in tile.cols_to_roles.iter().enumerate() {
-        if let Some(v) = assignment[role as usize] {
-            cols.push(c);
-            key.push(v);
-        }
-    }
-    stats.probes += 1;
-    let rows = if obs.active() {
-        let io_before = db.local_io();
-        let t0 = Instant::now();
-        let (rows, _) = catalog
-            .try_probe(db, tile.rel, &cols, &key)
-            .map_err(EvalAbort::Fault)?;
-        obs.record(
-            i,
-            rows.len() as u64,
-            db.local_io().since(io_before),
-            t0.elapsed().as_nanos() as u64,
-        );
-        rows
-    } else {
-        let (rows, _) = catalog
-            .try_probe(db, tile.rel, &cols, &key)
-            .map_err(EvalAbort::Fault)?;
-        rows
-    };
-    stats.rows += rows.len() as u64;
-    Ok(rows)
 }
 
 /// Binds a probed row into the assignment; `false` when it conflicts
@@ -1158,122 +1010,33 @@ impl Iterator for ResultStream<'_> {
             };
             // Evaluate this one driver binding.
             let io_before = self.db.local_io();
-            let mut assignment: Vec<Option<ToId>> = vec![None; plan.role_count()];
-            assignment[plan.driver as usize] = Some(to);
-            let fresh = suffix_fresh_roles(plan, 0);
             let ctl = ExecCtl::unbounded();
-            let pctl = ProbeCtl::plain(&ctl);
-            let subs = match self.mode {
-                ExecMode::Naive => unwrap_abort(completions_naive(
-                    self.db,
-                    self.catalog,
-                    plan,
-                    &mut self.stats,
-                    0,
-                    &mut assignment,
-                    &mut NoProbeObs,
-                    &pctl,
-                )),
-                ExecMode::Cached { .. } => unwrap_abort(completions_cached(
-                    self.db,
-                    self.catalog,
-                    plan,
-                    &mut self.cache,
-                    &mut self.stats,
-                    0,
-                    &mut assignment,
-                    &mut NoProbeObs,
-                    &pctl,
-                )),
+            let pending = &mut self.pending;
+            let mut eval = NestedLoopEval {
+                db: self.db,
+                catalog: self.catalog,
+                plan,
+                mode: self.mode,
+                cache: &mut self.cache,
+                stats: &mut self.stats,
+                obs: &mut NoProbeObs,
+                ctl: ProbeCtl::plain(&ctl),
             };
-            for sub in subs.iter() {
-                for (r, v) in fresh.iter().zip(sub) {
-                    assignment[*r as usize] = Some(*v);
-                }
-                if check_distinct(plan, &assignment) {
-                    self.stats.results += 1;
-                    self.pending.push_back(ResultRow {
-                        plan: self.plan_idx,
-                        assignment: assignment.iter().map(|a| a.unwrap()).collect(),
-                        score: plan.score,
-                    });
-                }
-            }
+            let mut assignment = vec![None; plan.role_count()];
+            let _ =
+                unwrap_abort(
+                    eval.driver_binding(self.plan_idx, to, &mut assignment, &mut |row| {
+                        pending.push_back(row);
+                        ControlFlow::Continue(())
+                    }),
+                );
             charge_local_io(&mut self.stats, self.db, io_before);
         }
     }
 }
 
-/// Evaluates every plan to completion (single-threaded), in plan order.
-/// The cache is shared across plans, enabling cross-CN reuse.
-pub fn all_plans(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-) -> QueryResults {
-    all_plans_ctl(db, catalog, plans, mode, &ExecCtl::unbounded()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The deadline-, fault- and panic-aware core of [`all_plans`] (also the
-/// single-thread fallback of [`all_plans_mt`]): each plan is evaluated
-/// under `catch_unwind` so a panic names the plan, an abort keeps the
-/// rows emitted so far, and remaining plans are counted as skipped once
-/// the control block stops evaluation.
-fn all_plans_ctl(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    ctl: &ExecCtl,
-) -> Result<QueryResults, XkError> {
-    let mut cache = new_cache(mode);
-    let mut out = QueryResults::default();
-    for (i, p) in plans.iter().enumerate() {
-        if ctl.should_stop() {
-            out.degradation.plans_skipped = plans.len() - i;
-            break;
-        }
-        let mut stats = ExecStats::default();
-        let mut rows: Vec<ResultRow> = Vec::new();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            eval_plan_bounded(
-                db,
-                catalog,
-                i,
-                p,
-                mode,
-                &mut cache,
-                &mut stats,
-                &mut |r| {
-                    rows.push(r);
-                    ControlFlow::Continue(())
-                },
-                &mut NoProbeObs,
-                ctl,
-                usize::MAX,
-                None,
-            )
-        }));
-        out.stats.merge(&stats);
-        out.rows.append(&mut rows);
-        match caught {
-            Ok(Ok(_)) => {}
-            Ok(Err(EvalAbort::Deadline)) => out.degradation.plans_incomplete += 1,
-            Ok(Err(EvalAbort::Pruned)) => unreachable!("no threshold poll on this path"),
-            Ok(Err(EvalAbort::Fault(e))) => {
-                out.degradation.plans_incomplete += 1;
-                out.degradation.faults.push((i, e));
-            }
-            Err(payload) => return Err(worker_panic(i, payload)),
-        }
-    }
-    out.degradation.deadline_exceeded = ctl.timed_out();
-    Ok(out)
-}
-
 /// One plan's raw EXPLAIN ANALYZE measurements, as produced by
-/// [`profile_plans`]. Engine-level code turns these into presentable
+/// [`execute_profiled`]. Engine-level code turns these into presentable
 /// `xkw_obs::PlanProfile` trees (it has the names; this layer has the
 /// numbers).
 #[derive(Debug, Clone, Default)]
@@ -1291,321 +1054,91 @@ pub struct PlanExecProfile {
     /// The plan's merged statistics (probes, rows, cache traffic,
     /// attributed I/O).
     pub stats: ExecStats,
-    /// Per-tile-step probe totals. Summing `io_hits`/`io_misses` over
-    /// the steps reproduces `stats.io_hits`/`stats.io_misses` exactly:
-    /// every buffer-pool request this executor issues flows through
-    /// [`eval_plan`]'s tile probes.
+    /// Per-tile-step probe totals of a nested-loop plan. Summing
+    /// `io_hits`/`io_misses` over the steps reproduces
+    /// `stats.io_hits`/`stats.io_misses` exactly: every buffer-pool
+    /// request a nested-loop plan issues flows through its tile probes.
+    /// Empty for hash plans, whose scan I/O is charged to the plan as a
+    /// whole.
     pub steps: Vec<StepProbe>,
-    /// Whether the top-k threshold pruned this plan before it was
-    /// evaluated ([`profile_plans_topk`] only). A pruned plan spent no
-    /// probes and no I/O, so the accounting invariant above still sums
-    /// plan I/O to the query total exactly.
+    /// Whether top-k made this plan unnecessary before it was evaluated
+    /// (the threshold beat its bound, or `k` rows were already in). A
+    /// pruned plan spent no probes and no I/O, so plan I/O still sums to
+    /// the query total exactly.
     pub pruned: bool,
-    /// Whether a query deadline expired before this plan started
-    /// ([`profile_plans_within`] only). Like `pruned`, a skipped plan
-    /// spent no probes and no I/O, keeping the decomposition exact for
-    /// degraded captures.
+    /// Whether the deadline expired before this plan started. Like
+    /// `pruned`, a skipped plan spent no probes and no I/O, keeping the
+    /// decomposition exact for degraded captures.
     pub skipped: bool,
 }
 
-/// Profiled [`all_plans`]: evaluates every plan single-threaded with a
-/// [`StepProbeObs`] attached, returning the results plus one
-/// [`PlanExecProfile`] per plan. Single-threaded on purpose — per-thread
-/// I/O attribution then decomposes the query's total exactly, which is
-/// the EXPLAIN ANALYZE accounting invariant.
-pub fn profile_plans(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-) -> (QueryResults, Vec<PlanExecProfile>) {
-    let mut cache = new_cache(mode);
-    let mut out = QueryResults::default();
-    let mut profiles = Vec::with_capacity(plans.len());
-    for (i, p) in plans.iter().enumerate() {
-        let mut stats = ExecStats::default();
-        let mut obs = StepProbeObs::for_steps(p.tiles.len());
-        let rows_before = out.rows.len();
-        let t0 = Instant::now();
-        let _ = eval_plan_obs(
-            db,
-            catalog,
-            i,
-            p,
-            mode,
-            &mut cache,
-            &mut stats,
-            &mut |r| {
-                out.rows.push(r);
-                ControlFlow::Continue(())
-            },
-            &mut obs,
-        );
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        let drivers = p.candidates[p.driver as usize]
-            .as_ref()
-            .map_or(0, |c| c.len() as u64);
-        profiles.push(PlanExecProfile {
-            plan: i,
-            score: p.score,
-            drivers,
-            rows_out: (out.rows.len() - rows_before) as u64,
-            elapsed_ns,
-            stats,
-            steps: obs.steps,
-            pruned: false,
-            skipped: false,
-        });
-        out.stats.merge(&stats);
+/// The join algorithm a request evaluates its plans with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Join {
+    /// Nested-loop probes of the connection relations (§6), naive or
+    /// with the partial-result cache.
+    NestedLoop(ExecMode),
+    /// Full scans + in-memory hash joins (§7's "all results" regime,
+    /// where the paper's `MinNClustNIndx` decomposition wins). Keyword
+    /// filters are applied during the scans; tiles are joined in plan
+    /// order on their shared roles.
+    Hash,
+}
+
+/// One evaluation request — the execution module's whole input. Every
+/// combination of the fields is a supported shape, evaluated by the one
+/// driver behind [`execute`] / [`execute_profiled`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExecRequest<'a> {
+    /// Candidate-network plans in score order (smallest first).
+    /// [`ResultRow::plan`] indexes into this slice.
+    pub plans: &'a [CtssnPlan],
+    /// How each plan is evaluated.
+    pub join: Join,
+    /// `Some(k)`: the web-search-engine presentation — the first `k`
+    /// rows in `(score, plan, assignment)` order. `None`: every plan to
+    /// completion, rows in plan order.
+    pub k: Option<usize>,
+    /// Top-k threshold pruning (ignored without `k`). `false` is the
+    /// evaluate-then-truncate reference the pruned path is pinned
+    /// against; rows are identical either way.
+    pub prune: bool,
+    /// Worker threads, clamped to `1..=plans.len()`. One worker runs
+    /// inline on the caller's thread. Rows are identical for every
+    /// count; statistics may attribute cache traffic differently (and
+    /// two hash workers racing on a scan may both be charged a probe).
+    pub threads: usize,
+    /// Evaluation budget; `None` never stops.
+    pub deadline: Option<Duration>,
+}
+
+impl<'a> ExecRequest<'a> {
+    /// Every plan to completion on one inline worker, no deadline.
+    pub fn all(plans: &'a [CtssnPlan], join: Join) -> Self {
+        ExecRequest {
+            plans,
+            join,
+            k: None,
+            prune: true,
+            threads: 1,
+            deadline: None,
+        }
     }
-    (out, profiles)
-}
 
-/// Profiled [`all_plans`] under an optional query deadline: the EXPLAIN
-/// ANALYZE view the slow-query log attaches to deadline-degraded
-/// queries. Evaluated plans run with a [`StepProbeObs`] attached exactly
-/// as in [`profile_plans`]; once the deadline expires, every remaining
-/// plan gets a zero-I/O profile with `skipped: true` instead of being
-/// evaluated, and an abort mid-plan keeps the rows and probes measured
-/// so far (counted as incomplete). Attributed I/O therefore still
-/// decomposes the capture's query totals exactly, degraded or not.
-pub fn profile_plans_within(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    deadline: Option<Duration>,
-) -> (QueryResults, Vec<PlanExecProfile>) {
-    let mut cache = new_cache(mode);
-    let mut out = QueryResults::default();
-    let mut profiles = Vec::with_capacity(plans.len());
-    let ctl = ExecCtl::within(deadline);
-    let faults_before = db.faults().snapshot();
-    for (i, p) in plans.iter().enumerate() {
-        let drivers = p.candidates[p.driver as usize]
-            .as_ref()
-            .map_or(0, |c| c.len() as u64);
-        if ctl.should_stop() {
-            out.degradation.plans_skipped += 1;
-            profiles.push(PlanExecProfile {
-                plan: i,
-                score: p.score,
-                drivers,
-                skipped: true,
-                steps: vec![StepProbe::default(); p.tiles.len()],
-                ..PlanExecProfile::default()
-            });
-            continue;
+    /// Pruned top-`k` on one inline worker, no deadline.
+    pub fn topk(plans: &'a [CtssnPlan], join: Join, k: usize) -> Self {
+        ExecRequest {
+            k: Some(k),
+            ..ExecRequest::all(plans, join)
         }
-        let mut stats = ExecStats::default();
-        let mut obs = StepProbeObs::for_steps(p.tiles.len());
-        let rows_before = out.rows.len();
-        let t0 = Instant::now();
-        let aborted = eval_plan_bounded(
-            db,
-            catalog,
-            i,
-            p,
-            mode,
-            &mut cache,
-            &mut stats,
-            &mut |r| {
-                out.rows.push(r);
-                ControlFlow::Continue(())
-            },
-            &mut obs,
-            &ctl,
-            usize::MAX,
-            None,
-        );
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        match aborted {
-            Ok(_) => {}
-            Err(EvalAbort::Deadline) => out.degradation.plans_incomplete += 1,
-            Err(EvalAbort::Pruned) => unreachable!("no threshold poll on this path"),
-            Err(EvalAbort::Fault(e)) => {
-                out.degradation.plans_incomplete += 1;
-                out.degradation.faults.push((i, e));
-            }
-        }
-        profiles.push(PlanExecProfile {
-            plan: i,
-            score: p.score,
-            drivers,
-            rows_out: (out.rows.len() - rows_before) as u64,
-            elapsed_ns,
-            stats,
-            steps: obs.steps,
-            pruned: false,
-            skipped: false,
-        });
-        out.stats.merge(&stats);
     }
-    out.degradation.deadline_exceeded = ctl.timed_out();
-    out.degradation.retries = db.faults().snapshot().since(faults_before).retries;
-    (out, profiles)
 }
 
-/// Profiled [`topk`]: the EXPLAIN ANALYZE view of the pruned top-k path.
-/// Single-threaded and sequential (so I/O attribution decomposes the
-/// query total exactly, like [`profile_plans`]), with a local threshold
-/// tracker standing in for the shared one: a plan whose score bound the
-/// latched threshold already beats is *pruned* — it gets a profile with
-/// zero probes, zero I/O and `pruned: true` instead of being evaluated.
-/// Evaluated plans run under the pushed-down `k`-row limit. The returned
-/// rows are the standard top-k set: sorted by `(score, plan,
-/// assignment)` and truncated to `k`.
-///
-/// An optional `deadline` bounds the capture the same way it bounds a
-/// live query (the slow-query log re-runs degraded top-k queries through
-/// here): plans not started in time get zero-I/O `skipped` profiles, a
-/// plan aborted mid-evaluation keeps what it measured, and the
-/// degradation report is filled — so the capture itself cannot stall.
-pub fn profile_plans_topk(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    k: usize,
-    deadline: Option<Duration>,
-) -> (QueryResults, Vec<PlanExecProfile>) {
-    let mut cache = new_cache(mode);
-    let mut out = QueryResults {
-        prune: PruneReport {
-            enabled: true,
-            ..PruneReport::default()
-        },
-        ..QueryResults::default()
-    };
-    let mut profiles = Vec::with_capacity(plans.len());
-    if k == 0 {
-        return (out, profiles);
-    }
-    let tracker = ThresholdTracker::new(k);
-    let ctl = ExecCtl::within(deadline);
-    let faults_before = db.faults().snapshot();
-    for (i, p) in plans.iter().enumerate() {
-        let bound = topk_key(p.score, i);
-        let drivers = p.candidates[p.driver as usize]
-            .as_ref()
-            .map_or(0, |c| c.len() as u64);
-        if ctl.should_stop() {
-            out.degradation.plans_skipped += 1;
-            profiles.push(PlanExecProfile {
-                plan: i,
-                score: p.score,
-                drivers,
-                skipped: true,
-                steps: vec![StepProbe::default(); p.tiles.len()],
-                ..PlanExecProfile::default()
-            });
-            continue;
-        }
-        if PrunePoll::new(tracker.cell(), bound).cut() {
-            out.prune.plans_pruned += 1;
-            profiles.push(PlanExecProfile {
-                plan: i,
-                score: p.score,
-                drivers,
-                pruned: true,
-                steps: vec![StepProbe::default(); p.tiles.len()],
-                ..PlanExecProfile::default()
-            });
-            continue;
-        }
-        out.prune.plans_claimed += 1;
-        let mut stats = ExecStats::default();
-        let mut obs = StepProbeObs::for_steps(p.tiles.len());
-        let rows_before = out.rows.len();
-        let t0 = Instant::now();
-        // Sequential evaluation never trips its own threshold poll (a
-        // plan's rows share its exact bound, and the cut is strict) —
-        // only the deadline or a store fault can abort mid-plan.
-        let aborted = eval_plan_bounded(
-            db,
-            catalog,
-            i,
-            p,
-            mode,
-            &mut cache,
-            &mut stats,
-            &mut |r| {
-                tracker.observe(topk_key(r.score, r.plan));
-                out.rows.push(r);
-                ControlFlow::Continue(())
-            },
-            &mut obs,
-            &ctl,
-            k,
-            Some(PrunePoll::new(tracker.cell(), bound)),
-        );
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        match aborted {
-            Ok(_) => {}
-            Err(EvalAbort::Deadline) => out.degradation.plans_incomplete += 1,
-            Err(EvalAbort::Pruned) => unreachable!("sequential poll shares the plan's bound"),
-            Err(EvalAbort::Fault(e)) => {
-                out.degradation.plans_incomplete += 1;
-                out.degradation.faults.push((i, e));
-            }
-        }
-        profiles.push(PlanExecProfile {
-            plan: i,
-            score: p.score,
-            drivers,
-            rows_out: (out.rows.len() - rows_before) as u64,
-            elapsed_ns,
-            stats,
-            steps: obs.steps,
-            pruned: false,
-            skipped: false,
-        });
-        out.stats.merge(&stats);
-    }
-    out.degradation.deadline_exceeded = ctl.timed_out();
-    out.degradation.retries = db.faults().snapshot().since(faults_before).retries;
-    out.prune.threshold = tracker.threshold().map(topk_key_parts);
-    out.rows
-        .sort_by(|a, b| (a.score, a.plan, &a.assignment).cmp(&(b.score, b.plan, &b.assignment)));
-    out.rows.truncate(k);
-    (out, profiles)
-}
-
-/// Parallel [`all_plans`]: a pool of `threads` workers pulls candidate
-/// networks in score order and evaluates each to completion against a
-/// [`SharedPartialCache`], so the cross-CN suffix reuse of §6 survives
-/// the fan-out. Per-plan row blocks are reassembled in plan order, so
-/// the output rows are identical to the single-threaded [`all_plans`]
-/// for every thread count (statistics may attribute cache traffic
-/// differently, never probes or results).
-pub fn all_plans_mt(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    threads: usize,
-) -> QueryResults {
-    all_plans_mt_result(db, catalog, plans, mode, threads).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`all_plans_mt`] reporting worker-thread panics as
-/// [`XkError::WorkerPanic`] instead of silently dropping them (a worker
-/// that dies mid-plan would otherwise just contribute nothing).
-///
-/// # Errors
-/// [`XkError::WorkerPanic`] if any worker panicked.
-pub(crate) fn all_plans_mt_result(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    threads: usize,
-) -> Result<QueryResults, XkError> {
-    all_plans_mt_ctl(db, catalog, plans, mode, threads, &ExecCtl::unbounded())
-}
-
-/// How a worker finished one claimed plan.
+/// How a worker finished one plan of the claim sequence.
 enum PlanOutcome {
+    /// Skipped at claim time: the top-k threshold already beat its
+    /// bound. Never started, zero probes spent.
+    Cut,
     /// Ran to completion (or to its pushed-down result limit).
     Done,
     /// Aborted on the deadline; emitted rows are kept.
@@ -1618,385 +1151,462 @@ enum PlanOutcome {
     Fault(StoreError),
 }
 
-/// Folds one plan's outcome into the degradation report.
-fn absorb_outcome(deg: &mut Degradation, pi: usize, outcome: PlanOutcome) {
-    match outcome {
-        PlanOutcome::Done | PlanOutcome::EarlyStopped => {}
-        PlanOutcome::Incomplete => deg.plans_incomplete += 1,
-        PlanOutcome::Fault(e) => {
-            deg.plans_incomplete += 1;
-            deg.faults.push((pi, e));
-        }
+/// What a worker reports for each plan it claimed.
+struct PlanReport {
+    plan: usize,
+    outcome: PlanOutcome,
+    rows: Vec<ResultRow>,
+    stats: ExecStats,
+    /// Per-step probe totals and plan wall time; profiled runs only.
+    steps: Vec<StepProbe>,
+    elapsed_ns: u64,
+}
+
+/// One worker's join algorithm together with its memo state (a private
+/// cache on the inline path, a striped shared one across workers).
+trait PlanEvaluator {
+    /// Evaluates plan `pi` into `report` (rows, stats, probe steps).
+    fn eval<O: ProbeObserver>(
+        &mut self,
+        run: &Run<'_>,
+        pi: usize,
+        poll: Option<PrunePoll<'_>>,
+        report: &mut PlanReport,
+    ) -> Result<(), EvalAbort>;
+}
+
+struct NestedLoop<C> {
+    mode: ExecMode,
+    cache: C,
+}
+
+impl<C: PartialCacheOps> PlanEvaluator for NestedLoop<C> {
+    fn eval<O: ProbeObserver>(
+        &mut self,
+        run: &Run<'_>,
+        pi: usize,
+        poll: Option<PrunePoll<'_>>,
+        report: &mut PlanReport,
+    ) -> Result<(), EvalAbort> {
+        let plan = &run.plans[pi];
+        let mut obs = O::for_steps(plan.tiles.len());
+        let rows = &mut report.rows;
+        let mut eval = NestedLoopEval {
+            db: run.db,
+            catalog: run.catalog,
+            plan,
+            mode: self.mode,
+            cache: &mut self.cache,
+            stats: &mut report.stats,
+            obs: &mut obs,
+            ctl: ProbeCtl {
+                exec: &run.ctl,
+                prune: poll,
+            },
+        };
+        let flow = eval.plan(pi, run.limit, &mut |row| {
+            run.observe_row(plan, pi);
+            rows.push(row);
+            ControlFlow::Continue(())
+        });
+        report.steps = obs.into_steps();
+        flow.map(drop)
     }
 }
 
-/// [`all_plans_mt_result`] under a control block: workers stop claiming
-/// plans once it trips, and each claimed plan runs under its own
-/// `catch_unwind` so a panic names the plan that died.
-pub(crate) fn all_plans_mt_ctl(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    threads: usize,
-    ctl: &ExecCtl,
-) -> Result<QueryResults, XkError> {
-    let threads = threads.max(1).min(plans.len().max(1));
-    if threads == 1 {
-        return all_plans_ctl(db, catalog, plans, mode, ctl);
+/// Hash plans have no probe steps: all their I/O is scan I/O, charged
+/// to the plan as a whole.
+struct HashJoin<M>(M);
+
+impl<M: ScanMemoOps> PlanEvaluator for HashJoin<M> {
+    fn eval<O: ProbeObserver>(
+        &mut self,
+        run: &Run<'_>,
+        pi: usize,
+        poll: Option<PrunePoll<'_>>,
+        report: &mut PlanReport,
+    ) -> Result<(), EvalAbort> {
+        let plan = &run.plans[pi];
+        let _span = xkw_obs::span!(
+            "exec.hash_plan",
+            plan = pi,
+            score = plan.score,
+            tiles = plan.tiles.len()
+        );
+        let ctl = ProbeCtl {
+            exec: &run.ctl,
+            prune: poll,
+        };
+        let io_before = run.db.local_io();
+        let flow = hash_join_plan(run, pi, &ctl, &mut self.0, report);
+        charge_local_io(&mut report.stats, run.db, io_before);
+        if report.rows.len() > run.limit {
+            // Everything is computed anyway: keep the plan's true first k.
+            report.rows.sort_by(|a, b| a.assignment.cmp(&b.assignment));
+            report.rows.truncate(run.limit);
+        }
+        for _ in &report.rows {
+            run.observe_row(plan, pi);
+        }
+        flow
     }
-    let next_plan = AtomicUsize::new(0);
-    let shared = SharedPartialCache::new(mode, threads);
-    type PlanMsg = (usize, Vec<ResultRow>, ExecStats, PlanOutcome);
-    let (tx, rx) = crossbeam::channel::unbounded::<PlanMsg>();
-    let (panic_tx, panic_rx) = crossbeam::channel::unbounded::<(usize, String)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let panic_tx = panic_tx.clone();
-            let (next_plan, shared) = (&next_plan, &shared);
-            scope.spawn(move || {
-                let mut cache = shared;
-                loop {
-                    if ctl.should_stop() {
-                        break;
-                    }
-                    let pi = next_plan.fetch_add(1, Ordering::SeqCst);
-                    if pi >= plans.len() {
-                        break;
-                    }
-                    let mut stats = ExecStats::default();
-                    let mut rows = Vec::new();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        eval_plan_bounded(
-                            db,
-                            catalog,
-                            pi,
-                            &plans[pi],
-                            mode,
-                            &mut cache,
-                            &mut stats,
-                            &mut |r| {
-                                rows.push(r);
-                                ControlFlow::Continue(())
-                            },
-                            &mut NoProbeObs,
-                            ctl,
-                            usize::MAX,
-                            None,
-                        )
-                    }));
-                    let outcome = match caught {
-                        Ok(Ok(_)) => PlanOutcome::Done,
-                        Ok(Err(EvalAbort::Deadline)) => PlanOutcome::Incomplete,
-                        Ok(Err(EvalAbort::Pruned)) => {
-                            unreachable!("no threshold poll on this path")
-                        }
-                        Ok(Err(EvalAbort::Fault(e))) => PlanOutcome::Fault(e),
-                        Err(payload) => {
-                            let _ = panic_tx.send((pi, panic_message(payload)));
-                            return;
-                        }
-                    };
-                    let _ = tx.send((pi, rows, stats, outcome));
-                }
+}
+
+/// The state every worker of one request shares.
+struct Run<'a> {
+    db: &'a Db,
+    catalog: &'a RelationCatalog,
+    plans: &'a [CtssnPlan],
+    ctl: ExecCtl,
+    /// The pushed-down per-plan row limit: `k`, or unlimited.
+    limit: usize,
+    /// The shared top-k threshold (pruned top-k only).
+    tracker: Option<ThresholdTracker>,
+    /// Rows of finished plans — the unpruned top-k stop rule.
+    emitted: AtomicUsize,
+    next_plan: AtomicUsize,
+}
+
+impl Run<'_> {
+    fn observe_row(&self, plan: &CtssnPlan, pi: usize) {
+        if let Some(t) = &self.tracker {
+            t.observe(topk_key(plan.score, pi));
+        }
+    }
+
+    /// The plan-claim loop — the only one. Workers pull candidate
+    /// networks in score order (§6): check the stop flag, check the
+    /// top-k cut, evaluate one plan under `catch_unwind` with a per-plan
+    /// observer, hand the outcome to `sink`. Rows emitted before a
+    /// deadline or fault abort are kept (each is a genuine MTTON), so a
+    /// stopped request degrades to a partial answer rather than nothing.
+    ///
+    /// With pruning on, a shared [`ThresholdTracker`] watches the k-th
+    /// best collected row; workers skip plans (and abort mid-plan) once
+    /// it proves them irrelevant, and the collected rows are sorted by
+    /// `(score, plan, assignment)` before truncating to `k`. With it
+    /// off, claiming stops once finished plans hold `k` rows (the
+    /// per-plan `k`-row limit applies on both paths).
+    ///
+    /// # Why the pruned result set is byte-identical, at every thread count
+    ///
+    /// Write `key(row) = (row.score, row.plan)` ([`crate::ranking::topk_key`])
+    /// and `bound(p) = (p.score, p)` for plan index `p`. Every row plan `p`
+    /// can emit has `key == bound(p)` exactly — the bound is admissible
+    /// *and* tight — and the final sort order `(score, plan, assignment)`
+    /// refines the key order, with the assignment tiebreak confined to rows
+    /// of one plan.
+    ///
+    /// 1. **Threshold cuts are sound, regardless of plan order or timing.**
+    ///    The tracker publishes `T`, the k-th smallest key among rows
+    ///    collected so far, once `k` rows exist. Suppose a worker skips or
+    ///    aborts plan `p` because `T < bound(p)` *strictly*. Then at that
+    ///    moment `k` already-collected rows have keys `≤ T < bound(p)`;
+    ///    those rows are in the final collection and sort strictly before
+    ///    every row `p` could have produced. So all of `p`'s unproduced rows
+    ///    would have been truncated anyway — dropping them cannot change the
+    ///    kept `k`. (Rows `p` emitted *before* a mid-plan abort are kept and
+    ///    are equally harmless: they also sort after those `k` rows.) The
+    ///    argument uses only the keys of collected rows, so it holds under
+    ///    any claim interleaving. `T` only tightens over time, so a stale
+    ///    read of the published cell prunes less, never wrongly.
+    /// 2. **The per-plan `k`-row limit is sound.** A claimed plan emits a
+    ///    deterministic prefix of its deterministic row sequence, and the
+    ///    pushed-down limit caps it at `k` rows — one plan can satisfy the
+    ///    whole answer, so nothing past its first `k` rows can ever be
+    ///    needed. The cap is per plan, never per pool: a global cut would
+    ///    make the kept subset depend on thread scheduling.
+    /// 3. **Claim-time pruning coincides with the legacy stop rule.** Plans
+    ///    are claimed in ascending index order, so when plan `p` comes up
+    ///    for claiming, every collected row came from a plan `< p` and has
+    ///    key `< bound(p)`. Hence "`T` latched" (k rows exist) implies
+    ///    "`T < bound(p)`" — the threshold cut fires exactly when the old
+    ///    `emitted ≥ k` check would have stopped the claiming, and never
+    ///    before the tracker has seen `k` rows. Single-threaded, a claimed
+    ///    plan's own rows share its exact bound and the cut is strict, so no
+    ///    mid-plan abort fires and evaluation is verbatim the legacy one.
+    ///
+    /// By (1) the cuts drop only truncated-anyway rows, by (2) kept plans
+    /// emit the same prefixes as before, and by (3) the same plans are
+    /// claimed — so the sorted, truncated result is identical with pruning
+    /// on or off, for every thread count. What pruning buys is work: plans a
+    /// multi-threaded run claimed eagerly are aborted at their next probe
+    /// boundary instead of running to completion, and late plans are skipped
+    /// with zero probes.
+    ///
+    /// # Errors
+    /// [`XkError::WorkerPanic`] naming the plan whose evaluation
+    /// panicked; this worker claims nothing further.
+    fn claim_plans<E: PlanEvaluator, O: ProbeObserver>(
+        &self,
+        mut eval: E,
+        mut sink: impl FnMut(PlanReport),
+    ) -> Result<(), XkError> {
+        loop {
+            if self.ctl.should_stop() {
+                break;
+            }
+            if self.tracker.is_none() && self.emitted.load(Ordering::SeqCst) >= self.limit {
+                break;
+            }
+            let pi = self.next_plan.fetch_add(1, Ordering::SeqCst);
+            let Some(plan) = self.plans.get(pi) else {
+                break;
+            };
+            let mut report = PlanReport {
+                plan: pi,
+                outcome: PlanOutcome::Cut,
+                rows: Vec::new(),
+                stats: ExecStats::default(),
+                steps: Vec::new(),
+                elapsed_ns: 0,
+            };
+            let poll = self.tracker.as_ref().map(|t| PrunePoll {
+                cell: t.cell(),
+                bound: topk_key(plan.score, pi),
             });
+            if poll.is_some_and(|p| p.cut()) {
+                // Beaten before it started: zero probes spent. Keep
+                // walking the claim sequence (cheap — one atomic and
+                // one load per plan) so every plan is individually
+                // checked and accounted for.
+                sink(report);
+                continue;
+            }
+            let started = O::ACTIVE.then(Instant::now);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                eval.eval::<O>(self, pi, poll, &mut report)
+            }));
+            report.elapsed_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            report.outcome = match caught {
+                Ok(Ok(())) => PlanOutcome::Done,
+                Ok(Err(EvalAbort::Deadline)) => PlanOutcome::Incomplete,
+                Ok(Err(EvalAbort::Pruned)) => PlanOutcome::EarlyStopped,
+                Ok(Err(EvalAbort::Fault(e))) => PlanOutcome::Fault(e),
+                Err(payload) => return Err(worker_panic(pi, payload)),
+            };
+            self.emitted.fetch_add(report.rows.len(), Ordering::SeqCst);
+            sink(report);
         }
-        drop(tx);
-        drop(panic_tx);
-        let mut per_plan: Vec<Option<Vec<ResultRow>>> = (0..plans.len()).map(|_| None).collect();
-        let mut out = QueryResults::default();
-        let mut delivered = 0usize;
-        for (pi, rows, stats, outcome) in rx {
-            per_plan[pi] = Some(rows);
-            out.stats.merge(&stats);
-            absorb_outcome(&mut out.degradation, pi, outcome);
-            delivered += 1;
+        Ok(())
+    }
+
+    /// Runs the claim loop on `workers` workers, each with its own
+    /// evaluator from `make_eval`, feeding every report to `absorb`:
+    /// inline on the caller's thread — no spawn, no channel — for one
+    /// worker, scoped threads sending one report per plan otherwise.
+    fn fan_out<E: PlanEvaluator, O: ProbeObserver>(
+        &self,
+        workers: usize,
+        make_eval: impl Fn() -> E + Sync,
+        mut absorb: impl FnMut(PlanReport),
+    ) -> Result<(), XkError> {
+        if workers == 1 {
+            return self.claim_plans::<E, O>(make_eval(), absorb);
         }
-        if let Ok((pi, msg)) = panic_rx.recv() {
-            return Err(XkError::WorkerPanic {
-                message: msg,
-                plan: Some(pi),
-                keywords: Vec::new(),
-            });
-        }
-        for rows in per_plan.into_iter().flatten() {
-            out.rows.extend(rows);
-        }
-        out.degradation.plans_skipped = plans.len() - delivered;
-        out.degradation.faults.sort_by_key(|(pi, _)| *pi);
-        out.degradation.deadline_exceeded = ctl.timed_out();
-        Ok(out)
-    })
+        let (tx, rx) = crossbeam::channel::unbounded::<PlanReport>();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let tx = tx.clone();
+                    let make_eval = &make_eval;
+                    scope.spawn(move || {
+                        self.claim_plans::<E, O>(make_eval(), |report| {
+                            let _ = tx.send(report);
+                        })
+                    })
+                })
+                .collect();
+            drop(tx);
+            rx.into_iter().for_each(&mut absorb);
+            handles
+                .into_iter()
+                .try_for_each(|h| h.join().expect("the claim loop catches plan panics itself"))
+        })
+    }
 }
 
-/// Top-k evaluation with a thread pool (§6): threads pull candidate
-/// networks in score order, sharing one striped partial-result cache;
-/// a shared [`ThresholdTracker`] watches the k-th best collected row,
-/// workers stop claiming (and abort mid-plan) once it proves a plan
-/// irrelevant, and the collected rows are sorted by `(score, plan,
-/// assignment)` before truncating to `k`. Threshold pruning is on;
-/// [`topk_opts`] exposes the switch for A/B runs.
-///
-/// # Why the pruned result set is byte-identical, at every thread count
-///
-/// Write `key(row) = (row.score, row.plan)` ([`crate::ranking::topk_key`])
-/// and `bound(p) = (p.score, p)` for plan index `p`. Every row plan `p`
-/// can emit has `key == bound(p)` exactly — the bound is admissible
-/// *and* tight — and the final sort order `(score, plan, assignment)`
-/// refines the key order, with the assignment tiebreak confined to rows
-/// of one plan.
-///
-/// 1. **Threshold cuts are sound, regardless of plan order or timing.**
-///    The tracker publishes `T`, the k-th smallest key among rows
-///    collected so far, once `k` rows exist. Suppose a worker skips or
-///    aborts plan `p` because `T < bound(p)` *strictly*. Then at that
-///    moment `k` already-collected rows have keys `≤ T < bound(p)`;
-///    those rows are in the final collection and sort strictly before
-///    every row `p` could have produced. So all of `p`'s unproduced rows
-///    would have been truncated anyway — dropping them cannot change the
-///    kept `k`. (Rows `p` emitted *before* a mid-plan abort are kept and
-///    are equally harmless: they also sort after those `k` rows.) The
-///    argument uses only the keys of collected rows, so it holds under
-///    any claim interleaving. `T` only tightens over time, so a stale
-///    read of the published cell prunes less, never wrongly.
-/// 2. **The per-plan `k`-row limit is sound.** A claimed plan emits a
-///    deterministic prefix of its deterministic row sequence, and the
-///    pushed-down limit caps it at `k` rows — one plan can satisfy the
-///    whole answer, so nothing past its first `k` rows can ever be
-///    needed. The cap is per plan, never per pool: a global cut would
-///    make the kept subset depend on thread scheduling.
-/// 3. **Claim-time pruning coincides with the legacy stop rule.** Plans
-///    are claimed in ascending index order, so when plan `p` comes up
-///    for claiming, every collected row came from a plan `< p` and has
-///    key `< bound(p)`. Hence "`T` latched" (k rows exist) implies
-///    "`T < bound(p)`" — the threshold cut fires exactly when the old
-///    `emitted ≥ k` check would have stopped the claiming, and never
-///    before the tracker has seen `k` rows. Single-threaded, a claimed
-///    plan's own rows share its exact bound and the cut is strict, so no
-///    mid-plan abort fires and evaluation is verbatim the legacy one.
-///
-/// By (1) the cuts drop only truncated-anyway rows, by (2) kept plans
-/// emit the same prefixes as before, and by (3) the same plans are
-/// claimed — so the sorted, truncated result is identical with pruning
-/// on or off, for every thread count. What pruning buys is work: plans a
-/// multi-threaded run claimed eagerly are aborted at their next probe
-/// boundary instead of running to completion, and late plans are skipped
-/// with zero probes.
-pub fn topk(
-    db: &Arc<Db>,
-    catalog: &Arc<RelationCatalog>,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    k: usize,
-    threads: usize,
-) -> QueryResults {
-    topk_result(db, catalog, plans, mode, k, threads).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`topk`] with the threshold-pruning switch exposed (`prune: false`
-/// runs the legacy evaluate-then-truncate path — the A/B baseline for
-/// benches and the CLI's `--no-prune`). Results are identical either
-/// way; [`QueryResults::prune`] reports what the threshold did.
-pub fn topk_opts(
-    db: &Arc<Db>,
-    catalog: &Arc<RelationCatalog>,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    k: usize,
-    threads: usize,
-    prune: bool,
-) -> QueryResults {
-    topk_ctl(
-        db,
-        catalog,
-        plans,
-        mode,
-        k,
-        threads,
-        &ExecCtl::unbounded(),
-        prune,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`topk`] reporting worker-thread panics as [`XkError::WorkerPanic`].
+/// Evaluates a request. Rows come back in plan order (`k: None`) or as
+/// the sorted top-k; [`QueryResults::degradation`] says how a deadline
+/// or unrecoverable store faults cut the answer short — rows found in
+/// time are kept, not thrown away — and [`QueryResults::prune`] what the
+/// top-k threshold saved. The contract is the same for every shape.
 ///
 /// # Errors
-/// [`XkError::WorkerPanic`] if any worker panicked.
-pub(crate) fn topk_result(
-    db: &Arc<Db>,
-    catalog: &Arc<RelationCatalog>,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    k: usize,
-    threads: usize,
+/// [`XkError::BadMode`], [`XkError::MissingRelation`] or
+/// [`XkError::ArityMismatch`] before anything is evaluated;
+/// [`XkError::WorkerPanic`] when a plan's evaluation panicked;
+/// [`XkError::DeadlineExceeded`] / [`XkError::Store`] when the request
+/// degraded before producing any row.
+pub fn execute(
+    db: &Db,
+    catalog: &RelationCatalog,
+    req: &ExecRequest<'_>,
 ) -> Result<QueryResults, XkError> {
-    topk_ctl(
+    drive::<NoProbeObs>(db, catalog, req).map(|(results, _)| results)
+}
+
+/// [`execute`] with per-probe measurement attached (EXPLAIN ANALYZE):
+/// the same driver, the same rows, plus one [`PlanExecProfile`] per
+/// plan, in plan order. Every plan's I/O is read off the evaluating
+/// thread's own pool counters, so the profiles decompose the request's
+/// attributed I/O exactly at any worker count, degraded or not.
+///
+/// # Errors
+/// Same as [`execute`].
+pub fn execute_profiled(
+    db: &Db,
+    catalog: &RelationCatalog,
+    req: &ExecRequest<'_>,
+) -> Result<(QueryResults, Vec<PlanExecProfile>), XkError> {
+    drive::<StepProbeObs>(db, catalog, req)
+}
+
+fn drive<O: ProbeObserver>(
+    db: &Db,
+    catalog: &RelationCatalog,
+    req: &ExecRequest<'_>,
+) -> Result<(QueryResults, Vec<PlanExecProfile>), XkError> {
+    if let Join::NestedLoop(mode) = req.join {
+        validate_mode(mode)?;
+    }
+    let plans = req.plans;
+    validate_plans(catalog, plans)?;
+    let faults_before = db.faults().snapshot();
+    let workers = req.threads.clamp(1, plans.len().max(1));
+    let run = Run {
         db,
         catalog,
         plans,
-        mode,
-        k,
-        threads,
-        &ExecCtl::unbounded(),
-        true,
-    )
-}
+        ctl: ExecCtl::within(req.deadline),
+        limit: req.k.unwrap_or(usize::MAX),
+        tracker: match req.k {
+            Some(k) if req.prune && k > 0 => Some(ThresholdTracker::new(k)),
+            _ => None,
+        },
+        emitted: AtomicUsize::new(0),
+        next_plan: AtomicUsize::new(0),
+    };
 
-/// [`topk_result`] under a control block: workers stop claiming plans
-/// once it trips; rows emitted before the trip are kept (each one is a
-/// genuine MTTON), so a deadline yields a degraded partial top-k rather
-/// than nothing.
-///
-/// With `prune` on, the claim check is the threshold cut of the [`topk`]
-/// proof; with it off, the legacy shared `emitted ≥ k` counter stops the
-/// claiming (the per-plan `k`-row limit applies on both paths).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn topk_ctl(
-    db: &Arc<Db>,
-    catalog: &Arc<RelationCatalog>,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    k: usize,
-    threads: usize,
-    ctl: &ExecCtl,
-    prune: bool,
-) -> Result<QueryResults, XkError> {
-    if k == 0 {
-        // Workers would stop before claiming anything; skip the pool.
-        return Ok(QueryResults::default());
+    let mut out = QueryResults::default();
+    let mut profiles: Vec<PlanExecProfile> = Vec::new();
+    if O::ACTIVE {
+        // Every plan starts as a zero-I/O "never reached" entry; the
+        // report of the worker that claims it overwrites that.
+        profiles.extend(plans.iter().enumerate().map(|(i, p)| {
+            PlanExecProfile {
+                plan: i,
+                score: p.score,
+                drivers: p.candidates[p.driver as usize]
+                    .as_ref()
+                    .map_or(0, |c| c.len() as u64),
+                skipped: true,
+                ..PlanExecProfile::default()
+            }
+        }));
     }
-    let tracker = prune.then(|| ThresholdTracker::new(k));
-    let emitted = AtomicUsize::new(0);
-    let next_plan = AtomicUsize::new(0);
-    let threads = threads.max(1);
-    let shared = SharedPartialCache::new(mode, threads);
-    enum TopkMsg {
-        Row(ResultRow),
-        /// A plan skipped at claim time by the threshold (never started).
-        Cut,
-        PlanDone(usize, ExecStats, PlanOutcome),
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<TopkMsg>();
-    let (panic_tx, panic_rx) = crossbeam::channel::unbounded::<(usize, String)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let panic_tx = panic_tx.clone();
-            let (emitted, next_plan, shared, tracker) = (&emitted, &next_plan, &shared, &tracker);
-            let db = db.clone();
-            let catalog = catalog.clone();
-            scope.spawn(move || {
-                let mut cache = shared;
-                loop {
-                    if ctl.should_stop() {
-                        break;
-                    }
-                    if tracker.is_none() && emitted.load(Ordering::SeqCst) >= k {
-                        break;
-                    }
-                    let pi = next_plan.fetch_add(1, Ordering::SeqCst);
-                    if pi >= plans.len() {
-                        break;
-                    }
-                    let plan = &plans[pi];
-                    let bound = topk_key(plan.score, pi);
-                    let poll = tracker.as_ref().map(|t| PrunePoll::new(t.cell(), bound));
-                    if poll.is_some_and(|p| p.cut()) {
-                        // Beaten before it started: zero probes spent.
-                        // Keep walking the claim sequence (cheap — one
-                        // atomic and one load per plan) so every plan is
-                        // individually checked and accounted for.
-                        let _ = tx.send(TopkMsg::Cut);
-                        continue;
-                    }
-                    let mut stats = ExecStats::default();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        eval_plan_bounded(
-                            &db,
-                            &catalog,
-                            pi,
-                            plan,
-                            mode,
-                            &mut cache,
-                            &mut stats,
-                            &mut |r| {
-                                if let Some(t) = tracker {
-                                    t.observe(topk_key(r.score, r.plan));
-                                } else {
-                                    emitted.fetch_add(1, Ordering::SeqCst);
-                                }
-                                let _ = tx.send(TopkMsg::Row(r));
-                                ControlFlow::Continue(())
-                            },
-                            &mut NoProbeObs,
-                            ctl,
-                            k,
-                            poll,
-                        )
-                    }));
-                    let outcome = match caught {
-                        Ok(Ok(_)) => PlanOutcome::Done,
-                        Ok(Err(EvalAbort::Deadline)) => PlanOutcome::Incomplete,
-                        Ok(Err(EvalAbort::Pruned)) => PlanOutcome::EarlyStopped,
-                        Ok(Err(EvalAbort::Fault(e))) => PlanOutcome::Fault(e),
-                        Err(payload) => {
-                            let _ = panic_tx.send((pi, panic_message(payload)));
-                            return;
-                        }
-                    };
-                    let _ = tx.send(TopkMsg::PlanDone(pi, stats, outcome));
-                }
-            });
-        }
-        drop(tx);
-        drop(panic_tx);
-        let mut out = QueryResults::default();
-        out.prune.enabled = prune;
-        let mut started = 0usize;
-        for msg in rx {
-            match msg {
-                TopkMsg::Row(row) => out.rows.push(row),
-                TopkMsg::Cut => out.prune.plans_pruned += 1,
-                TopkMsg::PlanDone(pi, stats, outcome) => {
-                    out.stats.merge(&stats);
-                    if matches!(outcome, PlanOutcome::EarlyStopped) {
-                        out.prune.plans_early_stopped += 1;
-                    }
-                    absorb_outcome(&mut out.degradation, pi, outcome);
-                    started += 1;
-                }
+    let mut reported = 0usize;
+    let absorb = |mut report: PlanReport| {
+        reported += 1;
+        let pi = report.plan;
+        let cut = matches!(report.outcome, PlanOutcome::Cut);
+        out.prune.plans_claimed += usize::from(!cut);
+        match report.outcome {
+            PlanOutcome::Cut => out.prune.plans_pruned += 1,
+            PlanOutcome::Done => {}
+            PlanOutcome::EarlyStopped => out.prune.plans_early_stopped += 1,
+            PlanOutcome::Incomplete => out.degradation.plans_incomplete += 1,
+            PlanOutcome::Fault(e) => {
+                out.degradation.plans_incomplete += 1;
+                out.degradation.faults.push((pi, e));
             }
         }
-        if let Ok((pi, msg)) = panic_rx.recv() {
-            return Err(XkError::WorkerPanic {
-                message: msg,
-                plan: Some(pi),
-                keywords: Vec::new(),
+        out.stats.merge(&report.stats);
+        if let Some(p) = profiles.get_mut(pi) {
+            p.skipped = false;
+            p.pruned = cut;
+            p.rows_out = report.rows.len() as u64;
+            p.elapsed_ns = report.elapsed_ns;
+            p.stats = report.stats;
+            p.steps = report.steps;
+        }
+        out.rows.append(&mut report.rows);
+    };
+    match req.join {
+        Join::NestedLoop(mode) if workers == 1 => run.fan_out::<_, O>(
+            workers,
+            || NestedLoop {
+                mode,
+                cache: new_cache(mode),
+            },
+            absorb,
+        ),
+        Join::NestedLoop(mode) => {
+            let shared = SharedPartialCache::new(mode, workers);
+            run.fan_out::<_, O>(
+                workers,
+                || NestedLoop {
+                    mode,
+                    cache: &shared,
+                },
+                absorb,
+            )
+        }
+        Join::Hash if workers == 1 => {
+            run.fan_out::<_, O>(workers, || HashJoin(LocalScanMemo::default()), absorb)
+        }
+        Join::Hash => {
+            let memo = SharedScanMemo::new(workers, |_| HashMap::new());
+            run.fan_out::<_, O>(workers, || HashJoin(&memo), absorb)
+        }
+    }?;
+
+    // Top-k legitimately leaves plans unclaimed once it has k rows;
+    // unclaimed plans count as skipped only when the deadline (not
+    // success) stopped the claiming.
+    let timed_out = run.ctl.timed_out();
+    if timed_out {
+        out.degradation.plans_skipped = plans.len() - reported;
+    } else {
+        // Never reached, yet no deadline: top-k had its k rows.
+        for p in profiles.iter_mut().filter(|p| p.skipped) {
+            p.skipped = false;
+            p.pruned = true;
+        }
+    }
+    out.degradation.deadline_exceeded = timed_out;
+    out.degradation.faults.sort_by_key(|(pi, _)| *pi);
+    out.degradation.retries = db.faults().snapshot().since(faults_before).retries;
+    out.prune.enabled = req.prune && req.k.is_some();
+    out.prune.threshold = run
+        .tracker
+        .as_ref()
+        .and_then(ThresholdTracker::threshold)
+        .map(topk_key_parts);
+    match req.k {
+        Some(k) => {
+            out.rows.sort_by(|a, b| {
+                (a.score, a.plan, &a.assignment).cmp(&(b.score, b.plan, &b.assignment))
             });
+            out.rows.truncate(k);
         }
-        out.prune.plans_claimed = started;
-        out.prune.threshold = tracker
-            .as_ref()
-            .and_then(|t| t.threshold())
-            .map(topk_key_parts);
-        out.rows.sort_by(|a, b| {
-            (a.score, a.plan, &a.assignment).cmp(&(b.score, b.plan, &b.assignment))
-        });
-        out.rows.truncate(k);
-        out.degradation.faults.sort_by_key(|(pi, _)| *pi);
-        out.degradation.deadline_exceeded = ctl.timed_out();
-        // Top-k legitimately leaves plans unstarted once it has k
-        // results (claims stopped, or the threshold cut them); unstarted
-        // plans count as skipped only when the deadline (not success)
-        // stopped the claiming.
-        if ctl.timed_out() {
-            out.degradation.plans_skipped =
-                plans.len().saturating_sub(started + out.prune.plans_pruned);
+        // Workers report out of plan order; each report's rows are one
+        // plan's, contiguous and in emission order, so a stable sort by
+        // plan restores exactly the single-worker row sequence.
+        None if workers > 1 => out.rows.sort_by_key(|r| r.plan),
+        None => {}
+    }
+    // A deadline or fault that still yielded rows is a degraded `Ok`;
+    // one that yielded nothing is a typed error.
+    if out.rows.is_empty() {
+        if timed_out {
+            return Err(XkError::DeadlineExceeded);
         }
-        Ok(out)
-    })
+        if let Some((_, e)) = out.degradation.faults.first() {
+            return Err(XkError::Store(e.clone()));
+        }
+    }
+    Ok((out, profiles))
 }
 
 /// Memo key for filtered relation scans: (relation, per-column keyword
@@ -2028,29 +1638,11 @@ impl ScanMemoOps for LocalScanMemo {
     }
 }
 
-/// A lock-striped scan memo shared by [`all_results_mt`] workers. Scans
-/// run outside the shard locks, so two workers may race on the same key
-/// and both pay the scan (each charges its own probe); the first stored
-/// copy wins and later plans hit it.
-struct SharedScanMemo {
-    shards: Vec<Mutex<HashMap<ScanKey, Arc<Vec<Row>>>>>,
-}
-
-impl SharedScanMemo {
-    fn new(threads: usize) -> Self {
-        SharedScanMemo {
-            shards: (0..threads.clamp(1, 32).next_power_of_two())
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard_of(&self, key: &ScanKey) -> &Mutex<HashMap<ScanKey, Arc<Vec<Row>>>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize & (self.shards.len() - 1)]
-    }
-}
+/// A lock-striped scan memo shared by the workers of a hash request.
+/// Scans run outside the shard locks, so two workers may race on the
+/// same key and both pay the scan (each charges its own probe); the
+/// first stored copy wins and later plans hit it.
+type SharedScanMemo = Striped<HashMap<ScanKey, Arc<Vec<Row>>>>;
 
 impl ScanMemoOps for &SharedScanMemo {
     fn lookup(&mut self, key: &ScanKey) -> Option<Arc<Vec<Row>>> {
@@ -2066,40 +1658,19 @@ impl ScanMemoOps for &SharedScanMemo {
     }
 }
 
-/// Evaluates one plan by hash joins, appending its rows/stats to `out`
-/// (including this plan's buffer-pool traffic on the calling thread).
-/// Checks the control block at every tile boundary; scans that fail on
-/// unrecoverable store faults abort the plan (and are never memoized).
+/// Evaluates one plan by hash joins into `out` (rows and stats). The
+/// tile boundary is the cancellation point — scans and joins are the
+/// units of work here — for the deadline and the top-k threshold alike;
+/// scans that fail on unrecoverable store faults abort the plan (and are
+/// never memoized).
 fn hash_join_plan<M: ScanMemoOps>(
-    db: &Db,
-    catalog: &RelationCatalog,
+    run: &Run<'_>,
     pi: usize,
-    plan: &CtssnPlan,
+    ctl: &ProbeCtl<'_>,
     memo: &mut M,
-    out: &mut QueryResults,
-    ctl: &ExecCtl,
+    out: &mut PlanReport,
 ) -> Result<(), EvalAbort> {
-    let _span = xkw_obs::span!(
-        "exec.hash_plan",
-        plan = pi,
-        score = plan.score,
-        tiles = plan.tiles.len()
-    );
-    let io_before = db.local_io();
-    let r = hash_join_plan_inner(db, catalog, pi, plan, memo, out, ctl);
-    charge_local_io(&mut out.stats, db, io_before);
-    r
-}
-
-fn hash_join_plan_inner<M: ScanMemoOps>(
-    db: &Db,
-    catalog: &RelationCatalog,
-    pi: usize,
-    plan: &CtssnPlan,
-    memo: &mut M,
-    out: &mut QueryResults,
-    ctl: &ExecCtl,
-) -> Result<(), EvalAbort> {
+    let (db, catalog, plan) = (run.db, run.catalog, &run.plans[pi]);
     let nroles = plan.role_count();
     if plan.tiles.is_empty() {
         // Single-role plan: candidates are the results.
@@ -2119,10 +1690,11 @@ fn hash_join_plan_inner<M: ScanMemoOps>(
     let mut bound_roles: Vec<u8> = Vec::new();
     let mut inter: Vec<Vec<ToId>> = Vec::new();
     for (i, tile) in plan.tiles.iter().enumerate() {
-        // The tile boundary is the cancellation point: scans and joins
-        // are the units of work here.
-        if ctl.should_stop() {
+        if ctl.exec.should_stop() {
             return Err(EvalAbort::Deadline);
+        }
+        if ctl.cut() {
+            return Err(EvalAbort::Pruned);
         }
         // Scan + filter the tile relation (memoized per filter).
         let filter_sig: Vec<Option<String>> = tile
@@ -2231,155 +1803,6 @@ fn hash_join_plan_inner<M: ScanMemoOps>(
     Ok(())
 }
 
-/// Full evaluation of every plan via hash joins over scanned relations
-/// (§7's "all results" regime). Keyword filters are applied during the
-/// scans; tiles are joined in plan order on their shared roles.
-pub fn all_results(db: &Db, catalog: &RelationCatalog, plans: &[CtssnPlan]) -> QueryResults {
-    all_results_ctl(db, catalog, plans, &ExecCtl::unbounded()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The deadline-, fault- and panic-aware core of [`all_results`] (also
-/// the single-thread fallback of [`all_results_mt`]).
-fn all_results_ctl(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    ctl: &ExecCtl,
-) -> Result<QueryResults, XkError> {
-    let mut out = QueryResults::default();
-    let mut memo = LocalScanMemo::default();
-    for (pi, plan) in plans.iter().enumerate() {
-        if ctl.should_stop() {
-            out.degradation.plans_skipped = plans.len() - pi;
-            break;
-        }
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            hash_join_plan(db, catalog, pi, plan, &mut memo, &mut out, ctl)
-        }));
-        match caught {
-            Ok(Ok(())) => {}
-            Ok(Err(EvalAbort::Deadline)) => out.degradation.plans_incomplete += 1,
-            Ok(Err(EvalAbort::Pruned)) => unreachable!("no threshold poll on this path"),
-            Ok(Err(EvalAbort::Fault(e))) => {
-                out.degradation.plans_incomplete += 1;
-                out.degradation.faults.push((pi, e));
-            }
-            Err(payload) => return Err(worker_panic(pi, payload)),
-        }
-    }
-    out.degradation.deadline_exceeded = ctl.timed_out();
-    Ok(out)
-}
-
-/// Parallel [`all_results`]: workers pull plans in score order and share
-/// the scan memo, so a filtered scan computed by one worker serves every
-/// candidate network that needs it. Rows are reassembled in plan order
-/// — identical to the single-threaded output for every thread count
-/// (two workers racing on a scan may both be charged a probe, so probe
-/// counts can exceed the single-threaded count; rows never differ).
-pub fn all_results_mt(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    threads: usize,
-) -> QueryResults {
-    all_results_mt_result(db, catalog, plans, threads).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`all_results_mt`] reporting worker-thread panics as
-/// [`XkError::WorkerPanic`].
-///
-/// # Errors
-/// [`XkError::WorkerPanic`] if any worker panicked.
-pub(crate) fn all_results_mt_result(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    threads: usize,
-) -> Result<QueryResults, XkError> {
-    all_results_mt_ctl(db, catalog, plans, threads, &ExecCtl::unbounded())
-}
-
-/// [`all_results_mt_result`] under a control block.
-pub(crate) fn all_results_mt_ctl(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    threads: usize,
-    ctl: &ExecCtl,
-) -> Result<QueryResults, XkError> {
-    let threads = threads.max(1).min(plans.len().max(1));
-    if threads == 1 {
-        return all_results_ctl(db, catalog, plans, ctl);
-    }
-    let next_plan = AtomicUsize::new(0);
-    let memo = SharedScanMemo::new(threads);
-    type PlanMsg = (usize, QueryResults, PlanOutcome);
-    let (tx, rx) = crossbeam::channel::unbounded::<PlanMsg>();
-    let (panic_tx, panic_rx) = crossbeam::channel::unbounded::<(usize, String)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let panic_tx = panic_tx.clone();
-            let (next_plan, memo) = (&next_plan, &memo);
-            scope.spawn(move || {
-                let mut memo = memo;
-                loop {
-                    if ctl.should_stop() {
-                        break;
-                    }
-                    let pi = next_plan.fetch_add(1, Ordering::SeqCst);
-                    if pi >= plans.len() {
-                        break;
-                    }
-                    let mut part = QueryResults::default();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        hash_join_plan(db, catalog, pi, &plans[pi], &mut memo, &mut part, ctl)
-                    }));
-                    let outcome = match caught {
-                        Ok(Ok(())) => PlanOutcome::Done,
-                        Ok(Err(EvalAbort::Deadline)) => PlanOutcome::Incomplete,
-                        Ok(Err(EvalAbort::Pruned)) => {
-                            unreachable!("no threshold poll on this path")
-                        }
-                        Ok(Err(EvalAbort::Fault(e))) => PlanOutcome::Fault(e),
-                        Err(payload) => {
-                            let _ = panic_tx.send((pi, panic_message(payload)));
-                            return;
-                        }
-                    };
-                    let _ = tx.send((pi, part, outcome));
-                }
-            });
-        }
-        drop(tx);
-        drop(panic_tx);
-        let mut per_plan: Vec<Option<Vec<ResultRow>>> = (0..plans.len()).map(|_| None).collect();
-        let mut out = QueryResults::default();
-        let mut delivered = 0usize;
-        for (pi, part, outcome) in rx {
-            per_plan[pi] = Some(part.rows);
-            out.stats.merge(&part.stats);
-            absorb_outcome(&mut out.degradation, pi, outcome);
-            delivered += 1;
-        }
-        if let Ok((pi, msg)) = panic_rx.recv() {
-            return Err(XkError::WorkerPanic {
-                message: msg,
-                plan: Some(pi),
-                keywords: Vec::new(),
-            });
-        }
-        for rows in per_plan.into_iter().flatten() {
-            out.rows.extend(rows);
-        }
-        out.degradation.plans_skipped = plans.len() - delivered;
-        out.degradation.faults.sort_by_key(|(pi, _)| *pi);
-        out.degradation.deadline_exceeded = ctl.timed_out();
-        Ok(out)
-    })
-}
-
 /// Validates an execution mode — the one inexpressible-but-representable
 /// configuration is a "cached" mode whose cache can hold nothing.
 ///
@@ -2421,164 +1844,15 @@ pub fn validate_plans(catalog: &RelationCatalog, plans: &[CtssnPlan]) -> Result<
     Ok(())
 }
 
-/// Validated [`all_plans`]: checks the mode and every plan's relation
-/// references before evaluating.
+/// [`execute`] for nested-loop top-k, spelled positionally.
+/// Kept for `benchmark/`; remove with the next benchmark re-baseline.
 ///
 /// # Errors
-/// [`XkError::BadMode`], [`XkError::MissingRelation`] or
-/// [`XkError::ArityMismatch`]; nothing is evaluated on error.
-pub fn try_all_plans(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-) -> Result<QueryResults, XkError> {
-    validate_mode(mode)?;
-    validate_plans(catalog, plans)?;
-    Ok(all_plans(db, catalog, plans, mode))
-}
-
-/// Validated [`topk`].
-///
-/// # Errors
-/// Same as [`try_all_plans`], plus [`XkError::WorkerPanic`] if a worker
-/// thread panicked during evaluation.
-pub fn try_topk(
-    db: &Arc<Db>,
-    catalog: &Arc<RelationCatalog>,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    k: usize,
-    threads: usize,
-) -> Result<QueryResults, XkError> {
-    validate_mode(mode)?;
-    validate_plans(catalog, plans)?;
-    topk_result(db, catalog, plans, mode, k, threads)
-}
-
-/// Validated [`all_results`].
-///
-/// # Errors
-/// Same as [`try_all_plans`] (hash joins take no mode, so only plan
-/// validation applies).
-pub fn try_all_results(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-) -> Result<QueryResults, XkError> {
-    validate_plans(catalog, plans)?;
-    Ok(all_results(db, catalog, plans))
-}
-
-/// Validated [`all_plans_mt`].
-///
-/// # Errors
-/// Same as [`try_all_plans`], plus [`XkError::WorkerPanic`] if a worker
-/// thread panicked during evaluation.
-pub fn try_all_plans_mt(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    threads: usize,
-) -> Result<QueryResults, XkError> {
-    validate_mode(mode)?;
-    validate_plans(catalog, plans)?;
-    all_plans_mt_result(db, catalog, plans, mode, threads)
-}
-
-/// Validated [`all_results_mt`].
-///
-/// # Errors
-/// Same as [`try_all_results`], plus [`XkError::WorkerPanic`] if a
-/// worker thread panicked during evaluation.
-pub fn try_all_results_mt(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    threads: usize,
-) -> Result<QueryResults, XkError> {
-    validate_plans(catalog, plans)?;
-    all_results_mt_result(db, catalog, plans, threads)
-}
-
-/// Finishes a bounded evaluation: attributes the fault layer's retry
-/// delta since `before` to the degradation report, and maps the
-/// nothing-produced degraded cases to typed errors — a deadline or
-/// fault that still yielded rows is a degraded `Ok`, one that yielded
-/// nothing is an `Err`.
-fn finish_bounded(
-    db: &Db,
-    before: xkw_store::FaultSnapshot,
-    res: Result<QueryResults, XkError>,
-) -> Result<QueryResults, XkError> {
-    let mut r = res?;
-    r.degradation.retries = db.faults().snapshot().since(before).retries;
-    if r.rows.is_empty() {
-        if r.degradation.deadline_exceeded {
-            return Err(XkError::DeadlineExceeded);
-        }
-        if let Some((_, e)) = r.degradation.faults.first() {
-            return Err(XkError::Store(e.clone()));
-        }
-    }
-    Ok(r)
-}
-
-/// [`try_all_plans_mt`] with an optional evaluation deadline. On
-/// deadline or unrecoverable store faults the evaluation degrades
-/// gracefully: rows produced so far come back tagged with a
-/// [`Degradation`] report instead of being thrown away.
-///
-/// # Errors
-/// Same as [`try_all_plans_mt`], plus [`XkError::DeadlineExceeded`] /
-/// [`XkError::Store`] when the query degraded before producing any row.
-pub fn try_all_plans_mt_within(
-    db: &Db,
-    catalog: &RelationCatalog,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    threads: usize,
-    deadline: Option<Duration>,
-) -> Result<QueryResults, XkError> {
-    validate_mode(mode)?;
-    validate_plans(catalog, plans)?;
-    let ctl = ExecCtl::within(deadline);
-    let before = db.faults().snapshot();
-    finish_bounded(
-        db,
-        before,
-        all_plans_mt_ctl(db, catalog, plans, mode, threads, &ctl),
-    )
-}
-
-/// [`try_topk`] with an optional evaluation deadline (see
-/// [`try_all_plans_mt_within`] for the degradation contract).
-///
-/// # Errors
-/// Same as [`try_topk`], plus [`XkError::DeadlineExceeded`] /
-/// [`XkError::Store`] when the query degraded before producing any row.
-pub fn try_topk_within(
-    db: &Arc<Db>,
-    catalog: &Arc<RelationCatalog>,
-    plans: &[CtssnPlan],
-    mode: ExecMode,
-    k: usize,
-    threads: usize,
-    deadline: Option<Duration>,
-) -> Result<QueryResults, XkError> {
-    try_topk_within_opts(db, catalog, plans, mode, k, threads, deadline, true)
-}
-
-/// [`try_topk_within`] with the threshold-pruning switch exposed (the
-/// CLI's `--no-prune` reaches this). Results are identical either way.
-///
-/// # Errors
-/// Same as [`try_topk_within`].
+/// Same as [`execute`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_topk_within_opts(
-    db: &Arc<Db>,
-    catalog: &Arc<RelationCatalog>,
+    db: &Db,
+    catalog: &RelationCatalog,
     plans: &[CtssnPlan],
     mode: ExecMode,
     k: usize,
@@ -2586,37 +1860,32 @@ pub fn try_topk_within_opts(
     deadline: Option<Duration>,
     prune: bool,
 ) -> Result<QueryResults, XkError> {
-    validate_mode(mode)?;
-    validate_plans(catalog, plans)?;
-    let ctl = ExecCtl::within(deadline);
-    let before = db.faults().snapshot();
-    finish_bounded(
-        db,
-        before,
-        topk_ctl(db, catalog, plans, mode, k, threads, &ctl, prune),
-    )
+    let req = ExecRequest {
+        plans,
+        join: Join::NestedLoop(mode),
+        k: Some(k),
+        prune,
+        threads,
+        deadline,
+    };
+    execute(db, catalog, &req)
 }
 
-/// [`try_all_results_mt`] with an optional evaluation deadline (see
-/// [`try_all_plans_mt_within`] for the degradation contract).
+/// [`execute`] for single-worker nested-loop enumeration.
+/// Kept for `benchmark/`; remove with the next benchmark re-baseline.
 ///
 /// # Errors
-/// Same as [`try_all_results_mt`], plus [`XkError::DeadlineExceeded`] /
-/// [`XkError::Store`] when the query degraded before producing any row.
-pub fn try_all_results_mt_within(
+/// Same as [`execute`].
+pub fn try_all_plans(
     db: &Db,
     catalog: &RelationCatalog,
     plans: &[CtssnPlan],
-    threads: usize,
-    deadline: Option<Duration>,
+    mode: ExecMode,
 ) -> Result<QueryResults, XkError> {
-    validate_plans(catalog, plans)?;
-    let ctl = ExecCtl::within(deadline);
-    let before = db.faults().snapshot();
-    finish_bounded(
+    execute(
         db,
-        before,
-        all_results_mt_ctl(db, catalog, plans, threads, &ctl),
+        catalog,
+        &ExecRequest::all(plans, Join::NestedLoop(mode)),
     )
 }
 
@@ -2627,7 +1896,7 @@ mod tests {
     use crate::ctssn::Ctssn;
     use crate::decompose;
     use crate::master_index::MasterIndex;
-    use crate::optimizer::build_plan;
+    use crate::optimizer::{build_plan, build_plan_anchored};
     use crate::relations::{PhysicalPolicy, RelationCatalog};
     use crate::semantics::enumerate_mttons;
     use crate::target::TargetGraph;
@@ -2638,8 +1907,8 @@ mod tests {
         tss: xkw_graph::TssGraph,
         targets: TargetGraph,
         master: MasterIndex,
-        db: Arc<Db>,
-        catalog: Arc<RelationCatalog>,
+        db: Db,
+        catalog: RelationCatalog,
     }
 
     fn fixture(decomp: decompose::Decomposition, policy: PhysicalPolicy) -> Fixture {
@@ -2647,10 +1916,8 @@ mod tests {
         let tss = tpch::tss_graph();
         let targets = TargetGraph::build(&graph, &tss).unwrap();
         let master = MasterIndex::build(&graph, &targets);
-        let db = Arc::new(Db::new(256));
-        let catalog = Arc::new(RelationCatalog::materialize(
-            &db, &targets, decomp, policy, "t",
-        ));
+        let db = Db::new(256);
+        let catalog = RelationCatalog::materialize(&db, &targets, decomp, policy, "t");
         Fixture {
             graph,
             tss,
@@ -2659,6 +1926,13 @@ mod tests {
             db,
             catalog,
         }
+    }
+
+    fn minimal_clustered() -> Fixture {
+        fixture(
+            decompose::minimal(&tpch::tss_graph()),
+            PhysicalPolicy::clustered(),
+        )
     }
 
     fn plans_for(f: &Fixture, keywords: &[&str], z: usize) -> Vec<CtssnPlan> {
@@ -2671,194 +1945,226 @@ mod tests {
             .collect()
     }
 
+    const NAIVE: Join = Join::NestedLoop(ExecMode::Naive);
+    const CACHED: Join = Join::NestedLoop(ExecMode::Cached { capacity: 1024 });
+
+    /// Every plan to completion, single worker.
+    fn all(f: &Fixture, plans: &[CtssnPlan], join: Join) -> QueryResults {
+        execute(&f.db, &f.catalog, &ExecRequest::all(plans, join)).unwrap()
+    }
+
+    fn sorted(mut rows: Vec<ResultRow>) -> Vec<ResultRow> {
+        rows.sort_by(|a, b| {
+            (a.score, a.plan, &a.assignment).cmp(&(b.score, b.plan, &b.assignment))
+        });
+        rows
+    }
+
+    /// Every `{join, k, prune, threads, profiled}` shape, on one
+    /// instance per physical policy. Enumeration cells equal the
+    /// brute-force MTTON oracle; top-k cells equal that same enumeration
+    /// sorted by `(score, plan, assignment)` and truncated; every cell of
+    /// one `(join, k)` returns byte-identical rows whatever the prune
+    /// flag, worker count or profiling; and every profiled cell's
+    /// per-plan profiles decompose the request's attributed I/O exactly.
     #[test]
-    fn engine_matches_oracle_on_figure1() {
+    fn every_request_shape_matches_the_brute_force_oracle() {
         let tss = tpch::tss_graph();
-        for kws in [
-            ["john", "vcr"],
-            ["tv", "vcr"],
-            ["us", "vcr"],
-            ["john", "tv"],
-        ] {
-            let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
-            let plans = plans_for(&f, &kws, 8);
-            let got = all_plans(&f.db, &f.catalog, &plans, ExecMode::Naive).mttons();
-            let expect = enumerate_mttons(&f.graph, &f.targets, &kws, 8);
-            assert_eq!(got, expect, "keywords {kws:?}");
+        for policy in [PhysicalPolicy::clustered(), PhysicalPolicy::bare()] {
+            let f = fixture(decompose::minimal(&tss), policy);
+            for kws in [
+                ["john", "vcr"],
+                ["tv", "vcr"],
+                ["us", "vcr"],
+                ["john", "tv"],
+            ] {
+                let plans = plans_for(&f, &kws, 8);
+                let oracle = enumerate_mttons(&f.graph, &f.targets, &kws, 8);
+                let naive_probes = all(&f, &plans, NAIVE).stats.probes;
+                for join in [NAIVE, CACHED, Join::Hash] {
+                    let full = all(&f, &plans, join);
+                    assert_eq!(full.mttons(), oracle, "{kws:?} {join:?}");
+                    for k in [None, Some(1), Some(10)] {
+                        let want = match k {
+                            None => full.rows.clone(),
+                            Some(k) => {
+                                let mut top = sorted(full.rows.clone());
+                                top.truncate(k);
+                                top
+                            }
+                        };
+                        for prune in [true, false] {
+                            for threads in [1, 2, 8] {
+                                for profiled in [false, true] {
+                                    let req = ExecRequest {
+                                        plans: &plans,
+                                        join,
+                                        k,
+                                        prune,
+                                        threads,
+                                        deadline: None,
+                                    };
+                                    let tag = format!(
+                                        "{kws:?} {join:?} k={k:?} prune={prune} \
+                                         threads={threads} profiled={profiled}"
+                                    );
+                                    let (res, profiles) = if profiled {
+                                        execute_profiled(&f.db, &f.catalog, &req).unwrap()
+                                    } else {
+                                        (execute(&f.db, &f.catalog, &req).unwrap(), Vec::new())
+                                    };
+                                    assert_eq!(res.rows, want, "{tag}");
+                                    assert!(!res.degradation.is_degraded(), "{tag}");
+                                    assert_eq!(res.prune.enabled, prune && k.is_some(), "{tag}");
+                                    check_stats(&res, &req, naive_probes, &tag);
+                                    if profiled {
+                                        check_profiles(&res, &profiles, &req, &tag);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
+    /// The logical-work counters of one lattice cell.
+    fn check_stats(res: &QueryResults, req: &ExecRequest<'_>, naive_probes: u64, tag: &str) {
+        let s = &res.stats;
+        assert!(s.results as usize >= res.rows.len(), "{tag}");
+        if res.rows.is_empty() {
+            return;
+        }
+        assert!(s.probes > 0, "{tag}");
+        assert!(s.io_hits + s.io_misses > 0, "I/O is attributed: {tag}");
+        match req.join {
+            Join::NestedLoop(ExecMode::Naive) => assert_eq!(s.cache_hits, 0, "{tag}"),
+            Join::NestedLoop(ExecMode::Cached { .. }) if req.k.is_none() => {
+                assert_eq!(s.results as usize, res.rows.len(), "{tag}");
+                // Suffixes recur across CNs: the cache (private or
+                // striped across workers) sees hits, and caching never
+                // adds probes on the MVD-redundant data.
+                assert!(s.cache_hits > 0, "{tag}");
+                assert!(s.probes <= naive_probes, "{tag}");
+            }
+            _ => {}
+        }
+    }
+
+    /// The EXPLAIN accounting invariants of one profiled lattice cell.
+    fn check_profiles(
+        res: &QueryResults,
+        profiles: &[PlanExecProfile],
+        req: &ExecRequest<'_>,
+        tag: &str,
+    ) {
+        assert_eq!(profiles.len(), req.plans.len(), "{tag}");
+        let mut io = (0, 0);
+        for (i, p) in profiles.iter().enumerate() {
+            assert_eq!((p.plan, p.score), (i, req.plans[i].score), "{tag}");
+            assert!(!p.skipped, "no deadline, nothing skipped: {tag}");
+            if p.pruned {
+                assert_eq!((p.stats, p.rows_out), (ExecStats::default(), 0), "{tag}");
+            }
+            match req.join {
+                Join::NestedLoop(_) if !p.pruned => {
+                    assert_eq!(p.steps.len(), req.plans[i].tiles.len(), "{tag}");
+                    let step_io = p
+                        .steps
+                        .iter()
+                        .fold((0, 0), |(h, m), s| (h + s.io_hits, m + s.io_misses));
+                    assert_eq!(
+                        step_io,
+                        (p.stats.io_hits, p.stats.io_misses),
+                        "plan {i} {tag}"
+                    );
+                }
+                _ => assert!(p.steps.is_empty(), "{tag}"),
+            }
+            io = (io.0 + p.stats.io_hits, io.1 + p.stats.io_misses);
+        }
+        assert_eq!(io, (res.stats.io_hits, res.stats.io_misses), "{tag}");
+        let rows_out: u64 = profiles.iter().map(|p| p.rows_out).sum();
+        assert!(rows_out as usize >= res.rows.len(), "{tag}");
+        let pruned = profiles.iter().filter(|p| p.pruned).count();
+        let claimed = res.prune.plans_claimed;
+        assert_eq!(pruned + claimed, req.plans.len(), "{tag}");
+        if res.prune.enabled {
+            assert_eq!(pruned, res.prune.plans_pruned, "{tag}");
+        }
+    }
+
+    /// A plan whose evaluation panics surfaces as a typed error naming
+    /// it — from the inline worker and from pool workers, for both joins,
+    /// with or without `k`, profiled or not.
     #[test]
-    fn cached_equals_naive() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
-        for kws in [["us", "vcr"], ["tv", "vcr"]] {
-            let plans = plans_for(&f, &kws, 8);
-            let naive = all_plans(&f.db, &f.catalog, &plans, ExecMode::Naive);
-            let cached = all_plans(
-                &f.db,
-                &f.catalog,
-                &plans,
-                ExecMode::Cached { capacity: 4096 },
-            );
-            assert_eq!(naive.mttons(), cached.mttons());
-            assert!(cached.stats.cache_hits + cached.stats.cache_misses > 0);
-            // Caching strictly reduces probes on the MVD-redundant data.
-            assert!(cached.stats.probes <= naive.stats.probes);
+    fn plan_panics_become_typed_errors_in_every_shape() {
+        let f = minimal_clustered();
+        let mut plans = plans_for(&f, &["us", "vcr"], 8);
+        // Sabotage the last joining plan with a role beyond its role
+        // count: passes validation (arity is intact), then indexes out of
+        // bounds in either evaluator.
+        let target = plans
+            .iter()
+            .rposition(|p| !p.tiles.is_empty())
+            .expect("a joining plan");
+        plans[target].tiles[0].cols_to_roles[0] = 200;
+        for join in [NAIVE, CACHED, Join::Hash] {
+            // k large enough to reach the sabotaged plan.
+            for k in [None, Some(100_000)] {
+                for threads in [1, 2] {
+                    for profiled in [false, true] {
+                        let req = ExecRequest {
+                            plans: &plans,
+                            join,
+                            k,
+                            prune: true,
+                            threads,
+                            deadline: None,
+                        };
+                        let err = if profiled {
+                            execute_profiled(&f.db, &f.catalog, &req).map(drop)
+                        } else {
+                            execute(&f.db, &f.catalog, &req).map(drop)
+                        }
+                        .unwrap_err();
+                        assert!(
+                            matches!(err, XkError::WorkerPanic { plan: Some(p), .. } if p == target),
+                            "{join:?} k={k:?} threads={threads} profiled={profiled}: {err:?}"
+                        );
+                        assert!(err.to_string().contains("worker thread panicked"));
+                        assert!(err.to_string().contains(&format!("plan {target}")));
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn complete_decomposition_same_results_fewer_joins() {
         let tss = tpch::tss_graph();
-        let f_min = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
+        let f_min = minimal_clustered();
         let f_com = fixture(decompose::complete(&tss, 2), PhysicalPolicy::clustered());
         let kws = ["tv", "vcr"];
         let p_min = plans_for(&f_min, &kws, 8);
         let p_com = plans_for(&f_com, &kws, 8);
-        let m1 = all_plans(&f_min.db, &f_min.catalog, &p_min, ExecMode::Naive).mttons();
-        let m2 = all_plans(&f_com.db, &f_com.catalog, &p_com, ExecMode::Naive).mttons();
-        assert_eq!(m1, m2);
+        assert_eq!(
+            all(&f_min, &p_min, NAIVE).mttons(),
+            all(&f_com, &p_com, NAIVE).mttons()
+        );
         let joins_min: usize = p_min.iter().map(CtssnPlan::joins).sum();
         let joins_com: usize = p_com.iter().map(CtssnPlan::joins).sum();
         assert!(joins_com < joins_min);
     }
 
     #[test]
-    fn all_results_hash_join_matches_nested_loops() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::bare());
-        for kws in [["john", "vcr"], ["us", "vcr"]] {
-            let plans = plans_for(&f, &kws, 8);
-            let nl = all_plans(&f.db, &f.catalog, &plans, ExecMode::Naive).mttons();
-            let hj = all_results(&f.db, &f.catalog, &plans).mttons();
-            assert_eq!(nl, hj, "keywords {kws:?}");
-        }
-    }
-
-    #[test]
-    fn topk_stops_early_and_returns_k() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
-        let plans = plans_for(&f, &["us", "vcr"], 8);
-        let full = all_plans(&f.db, &f.catalog, &plans, ExecMode::Naive);
-        let total = full.rows.len();
-        assert!(total > 4);
-        let top = topk(
-            &f.db,
-            &f.catalog,
-            &plans,
-            ExecMode::Cached { capacity: 1024 },
-            3,
-            2,
-        );
-        assert_eq!(top.rows.len(), 3);
-        // Every returned row is a genuine result.
-        let all: std::collections::HashSet<Mtton> =
-            full.rows.iter().map(ResultRow::to_mtton).collect();
-        for r in &top.rows {
-            assert!(all.contains(&r.to_mtton()));
-        }
-    }
-
-    #[test]
-    fn profile_decomposes_plan_io_exactly() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
-        let plans = plans_for(&f, &["us", "vcr"], 8);
-        for mode in [ExecMode::Naive, ExecMode::Cached { capacity: 1024 }] {
-            let plain = all_plans(&f.db, &f.catalog, &plans, mode);
-            let (profiled, profs) = profile_plans(&f.db, &f.catalog, &plans, mode);
-            assert_eq!(plain.rows, profiled.rows, "{mode:?}");
-            assert_eq!(profs.len(), plans.len());
-            for p in &profs {
-                let step_h: u64 = p.steps.iter().map(|s| s.io_hits).sum();
-                let step_m: u64 = p.steps.iter().map(|s| s.io_misses).sum();
-                assert_eq!(
-                    (step_h, step_m),
-                    (p.stats.io_hits, p.stats.io_misses),
-                    "plan {} under {mode:?}",
-                    p.plan
-                );
-            }
-            let io: u64 = profs
-                .iter()
-                .map(|p| p.stats.io_hits + p.stats.io_misses)
-                .sum();
-            assert_eq!(io, profiled.stats.io_hits + profiled.stats.io_misses);
-            assert!(io > 0);
-        }
-    }
-
-    #[test]
-    fn worker_panics_become_typed_errors() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
-        let mut plans = plans_for(&f, &["us", "vcr"], 8);
-        assert!(plans.len() >= 2, "need several plans to exercise workers");
-        // Sabotage the last plan: no driver candidates — the evaluator
-        // asserts on this invariant.
-        let last = plans.len() - 1;
-        let d = plans[last].driver as usize;
-        plans[last].candidates[d] = None;
-        let err = try_all_plans_mt(&f.db, &f.catalog, &plans, ExecMode::Naive, 2).unwrap_err();
-        assert!(
-            matches!(err, XkError::WorkerPanic { plan: Some(p), .. } if p == last),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("worker thread panicked"));
-        assert!(err.to_string().contains(&format!("plan {last}")));
-        // The single-threaded fallback reports the same typed error,
-        // naming the same plan.
-        let err1 = all_plans_mt_result(&f.db, &f.catalog, &plans, ExecMode::Naive, 1).unwrap_err();
-        assert!(
-            matches!(err1, XkError::WorkerPanic { plan: Some(p), .. } if p == last),
-            "{err1:?}"
-        );
-        // topk workers propagate too (k large enough to reach the
-        // sabotaged plan).
-        let err2 = try_topk(
-            &f.db,
-            &f.catalog,
-            &plans,
-            ExecMode::Cached { capacity: 64 },
-            100_000,
-            2,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err2, XkError::WorkerPanic { plan: Some(p), .. } if p == last),
-            "{err2:?}"
-        );
-    }
-
-    #[test]
-    fn hash_worker_panics_become_typed_errors() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::bare());
-        let mut plans = plans_for(&f, &["us", "vcr"], 8);
-        let target = plans
-            .iter()
-            .rposition(|p| !p.tiles.is_empty())
-            .expect("a joining plan");
-        // Out-of-range relation: the catalog indexes with it and panics.
-        // (try_* would catch this in validation, so call the raw path.)
-        plans[target].tiles[0].rel = 9999;
-        let err = all_results_mt_result(&f.db, &f.catalog, &plans, 2).unwrap_err();
-        assert!(
-            matches!(err, XkError::WorkerPanic { plan: Some(p), .. } if p == target),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn figure2_redundancy_counted() {
         // "US, VCR" on the Fig. 2 subgraph: the supplier-route CN yields
         // exactly the 4 results N1..N4.
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
+        let f = minimal_clustered();
         let plans = plans_for(&f, &["us", "vcr"], 8);
-        let res = all_plans(&f.db, &f.catalog, &plans, ExecMode::Naive);
+        let res = all(&f, &plans, NAIVE);
         let li = f
             .tss
             .node_ids()
@@ -2882,165 +2188,153 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_probes_and_results() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
+    fn cache_capacity_one_still_correct() {
+        let f = minimal_clustered();
         let plans = plans_for(&f, &["john", "vcr"], 8);
-        let res = all_plans(&f.db, &f.catalog, &plans, ExecMode::Naive);
-        assert!(res.stats.probes > 0);
-        assert!(res.stats.results as usize >= res.rows.len());
-        assert_eq!(res.stats.cache_hits, 0);
+        let tiny = all(
+            &f,
+            &plans,
+            Join::NestedLoop(ExecMode::Cached { capacity: 1 }),
+        );
+        assert_eq!(tiny.mttons(), all(&f, &plans, NAIVE).mttons());
     }
 
-    /// Parallel full evaluation returns byte-identical rows to the
-    /// single-threaded path, in both execution modes, for every thread
-    /// count — the reassembly-in-plan-order contract.
+    /// The degenerate `k`s and worker counts: top-0 is empty (and says
+    /// whether pruning was requested, like every other `k`), a `k` past
+    /// the total returns everything, and more workers than plans is
+    /// clamped, on every join.
     #[test]
-    fn all_plans_mt_rows_identical_to_single_thread() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
-        for kws in [["us", "vcr"], ["john", "vcr"]] {
-            let plans = plans_for(&f, &kws, 8);
-            for mode in [ExecMode::Naive, ExecMode::Cached { capacity: 1024 }] {
-                let single = all_plans(&f.db, &f.catalog, &plans, mode);
-                for threads in [1, 2, 8] {
-                    let mt = all_plans_mt(&f.db, &f.catalog, &plans, mode, threads);
-                    assert_eq!(mt.rows, single.rows, "{kws:?} {mode:?} t={threads}");
-                    assert_eq!(mt.stats.results, single.stats.results);
+    fn degenerate_k_and_worker_counts() {
+        let f = minimal_clustered();
+        let plans = plans_for(&f, &["john", "vcr"], 8);
+        for join in [NAIVE, CACHED, Join::Hash] {
+            let total = all(&f, &plans, join).rows.len();
+            assert!(total > 5);
+            for prune in [true, false] {
+                for (k, threads, want) in [(0, 2, 0), (10_000, 3, total), (5, 64, 5)] {
+                    let req = ExecRequest {
+                        prune,
+                        threads,
+                        ..ExecRequest::topk(&plans, join, k)
+                    };
+                    let res = execute(&f.db, &f.catalog, &req).unwrap();
+                    assert_eq!(res.rows.len(), want, "{join:?} k={k} prune={prune}");
+                    let (profiled, profiles) = execute_profiled(&f.db, &f.catalog, &req).unwrap();
+                    assert_eq!(profiled.rows, res.rows);
+                    assert_eq!(profiled.prune.enabled, prune);
+                    assert_eq!(res.prune.enabled, prune);
+                    assert_eq!(profiles.len(), plans.len());
                 }
             }
         }
     }
 
-    /// Parallel hash-join evaluation (shared scan memo) matches the
-    /// single-threaded rows exactly.
     #[test]
-    fn all_results_mt_rows_identical_to_single_thread() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::bare());
-        for kws in [["us", "vcr"], ["john", "vcr"]] {
-            let plans = plans_for(&f, &kws, 8);
-            let single = all_results(&f.db, &f.catalog, &plans);
-            for threads in [1, 2, 8] {
-                let mt = all_results_mt(&f.db, &f.catalog, &plans, threads);
-                assert_eq!(mt.rows, single.rows, "{kws:?} t={threads}");
+    fn empty_plan_list_is_fine_everywhere() {
+        let f = minimal_clustered();
+        for join in [NAIVE, Join::Hash] {
+            for k in [None, Some(5)] {
+                let req = ExecRequest {
+                    k,
+                    threads: 2,
+                    ..ExecRequest::all(&[], join)
+                };
+                assert!(execute(&f.db, &f.catalog, &req).unwrap().rows.is_empty());
+                let (res, profiles) = execute_profiled(&f.db, &f.catalog, &req).unwrap();
+                assert!(res.rows.is_empty() && profiles.is_empty());
             }
         }
+        assert!(ResultStream::new(&f.db, &f.catalog, &[], ExecMode::Naive)
+            .next()
+            .is_none());
     }
 
-    /// The §6 top-k presentation is deterministic: identical result sets
-    /// for any worker count, rows sorted by (score, plan, assignment).
+    /// Validation runs once, inside the driver, before anything is
+    /// evaluated — whatever the shape.
     #[test]
-    fn topk_identical_across_thread_counts() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
-        for kws in [["us", "vcr"], ["john", "vcr"], ["tv", "vcr"]] {
-            let plans = plans_for(&f, &kws, 8);
-            for k in [1, 3, 5, 10_000] {
-                let reference = topk(
-                    &f.db,
-                    &f.catalog,
-                    &plans,
-                    ExecMode::Cached { capacity: 1024 },
-                    k,
-                    1,
-                );
-                assert!(reference.rows.windows(2).all(|w| (
-                    w[0].score,
-                    w[0].plan,
-                    &w[0].assignment
-                ) <= (
-                    w[1].score,
-                    w[1].plan,
-                    &w[1].assignment
-                )));
-                for threads in [2, 8] {
-                    let got = topk(
-                        &f.db,
-                        &f.catalog,
-                        &plans,
-                        ExecMode::Cached { capacity: 1024 },
+    fn every_shape_rejects_bad_inputs() {
+        let f = minimal_clustered();
+        let plans = plans_for(&f, &["john", "vcr"], 8);
+        // A plan referencing a relation beyond the catalog.
+        let mut broken = plans.clone();
+        broken[0].tiles[0].rel = 999;
+        // A plan whose column map does not match the relation's arity.
+        let mut wide = plans.clone();
+        wide[0].tiles[0].cols_to_roles.push(0);
+        let zero_cache = Join::NestedLoop(ExecMode::Cached { capacity: 0 });
+        for k in [None, Some(3)] {
+            for threads in [1, 2] {
+                let run = |plans: &[CtssnPlan], join| {
+                    let req = ExecRequest {
                         k,
                         threads,
-                    );
-                    assert_eq!(got.rows, reference.rows, "{kws:?} k={k} t={threads}");
+                        ..ExecRequest::all(plans, join)
+                    };
+                    let plain = execute(&f.db, &f.catalog, &req).map(|r| r.rows);
+                    let profiled = execute_profiled(&f.db, &f.catalog, &req).map(|(r, _)| r.rows);
+                    assert_eq!(plain, profiled);
+                    plain
+                };
+                assert!(matches!(run(&plans, zero_cache), Err(XkError::BadMode(_))));
+                for join in [NAIVE, Join::Hash] {
+                    assert!(matches!(
+                        run(&broken, join),
+                        Err(XkError::MissingRelation { index: 999, .. })
+                    ));
+                    assert!(matches!(
+                        run(&wide, join),
+                        Err(XkError::ArityMismatch { .. })
+                    ));
+                    // Valid input still evaluates.
+                    assert!(!run(&plans, join).unwrap().is_empty());
                 }
-                // Mode must not change the answer either.
-                let naive = topk(&f.db, &f.catalog, &plans, ExecMode::Naive, k, 4);
-                assert_eq!(naive.rows, reference.rows, "{kws:?} k={k} naive");
             }
         }
     }
 
-    /// The shared striped cache sees cross-thread suffix reuse: with
-    /// enough plans over the same schema suffixes, workers hit entries
-    /// they did not store themselves.
     #[test]
-    fn shared_partial_cache_reuses_across_workers() {
-        let tss = tpch::tss_graph();
-        let f = fixture(decompose::minimal(&tss), PhysicalPolicy::clustered());
-        let plans = plans_for(&f, &["us", "vcr"], 8);
-        let res = all_plans_mt(
+    fn eval_anchored_rejects_non_candidates() {
+        let f = minimal_clustered();
+        let kws = ["john", "vcr"];
+        // Anchor at the driver (annotated) role with a TO that is not a
+        // candidate: must produce nothing, not crash.
+        let plan = &plans_for(&f, &kws, 8)[0];
+        let anchored =
+            build_plan_anchored(&plan.ctssn, &f.catalog, &f.master, &kws, plan.driver).unwrap();
+        let bogus: ToId = 9999;
+        let mut cache = PartialCache::new(16);
+        let mut stats = ExecStats::default();
+        let mut count = 0;
+        let _ = eval_anchored(
             &f.db,
             &f.catalog,
-            &plans,
-            ExecMode::Cached { capacity: 4096 },
-            4,
+            &anchored,
+            bogus,
+            ExecMode::Naive,
+            &mut cache,
+            &mut stats,
+            &mut |_| {
+                count += 1;
+                ControlFlow::Continue(())
+            },
         );
-        assert!(res.stats.cache_hits > 0, "suffixes recur across CNs");
-        let single = all_plans(
-            &f.db,
-            &f.catalog,
-            &plans,
-            ExecMode::Cached { capacity: 4096 },
-        );
-        assert_eq!(res.mttons(), single.mttons());
+        assert_eq!(count, 0);
+        assert_eq!(stats.probes, 0);
     }
-}
 
-#[cfg(test)]
-mod stream_tests {
-    use super::*;
-    use crate::cn::CnGenerator;
-    use crate::ctssn::Ctssn;
-    use crate::decompose;
-    use crate::master_index::MasterIndex;
-    use crate::optimizer::{build_plan, CtssnPlan};
-    use crate::relations::{PhysicalPolicy, RelationCatalog};
-    use crate::target::TargetGraph;
-    use xkw_datagen::tpch;
-
-    fn setup() -> (Db, RelationCatalog, Vec<CtssnPlan>) {
-        let (g, _, _) = tpch::figure1();
-        let tss = tpch::tss_graph();
-        let tg = TargetGraph::build(&g, &tss).unwrap();
-        let master = MasterIndex::build(&g, &tg);
-        let db = Db::new(128);
-        let catalog = RelationCatalog::materialize(
-            &db,
-            &tg,
-            decompose::minimal(&tss),
-            PhysicalPolicy::clustered(),
-            "s",
-        );
-        let achievable = master.achievable_sets(&["us", "vcr"]);
-        let gen = CnGenerator::new(tss.schema(), &achievable, 2);
-        let plans: Vec<CtssnPlan> = gen
-            .generate(8)
-            .iter()
-            .map(|cn| Ctssn::from_cn(cn, &tss).unwrap())
-            .filter_map(|c| build_plan(&c, &catalog, &master, &["us", "vcr"]))
-            .collect();
-        (db, catalog, plans)
-    }
+    // ---- ResultStream ---------------------------------------------------
 
     #[test]
     fn stream_yields_exactly_the_batch_results() {
-        let (db, catalog, plans) = setup();
-        let batch = all_plans(&db, &catalog, &plans, ExecMode::Cached { capacity: 1024 });
-        let streamed: Vec<ResultRow> =
-            ResultStream::new(&db, &catalog, &plans, ExecMode::Cached { capacity: 1024 }).collect();
-        let mut a: Vec<Mtton> = batch.rows.iter().map(ResultRow::to_mtton).collect();
+        let f = minimal_clustered();
+        let plans = plans_for(&f, &["us", "vcr"], 8);
+        let mode = ExecMode::Cached { capacity: 1024 };
+        let streamed: Vec<ResultRow> = ResultStream::new(&f.db, &f.catalog, &plans, mode).collect();
+        let mut a: Vec<Mtton> = all(&f, &plans, CACHED)
+            .rows
+            .iter()
+            .map(ResultRow::to_mtton)
+            .collect();
         let mut b: Vec<Mtton> = streamed.iter().map(ResultRow::to_mtton).collect();
         a.sort();
         b.sort();
@@ -3049,8 +2343,9 @@ mod stream_tests {
 
     #[test]
     fn pages_are_disjoint_and_ordered_by_plan() {
-        let (db, catalog, plans) = setup();
-        let mut stream = ResultStream::new(&db, &catalog, &plans, ExecMode::Naive);
+        let f = minimal_clustered();
+        let plans = plans_for(&f, &["us", "vcr"], 8);
+        let mut stream = ResultStream::new(&f.db, &f.catalog, &plans, ExecMode::Naive);
         let p1 = stream.page(3);
         let p2 = stream.page(3);
         assert_eq!(p1.len(), 3);
@@ -3067,182 +2362,18 @@ mod stream_tests {
 
     #[test]
     fn early_pages_cost_less_than_full_evaluation() {
-        let (db, catalog, plans) = setup();
-        let mut stream =
-            ResultStream::new(&db, &catalog, &plans, ExecMode::Cached { capacity: 1024 });
+        let f = minimal_clustered();
+        let plans = plans_for(&f, &["us", "vcr"], 8);
+        let mut stream = ResultStream::new(
+            &f.db,
+            &f.catalog,
+            &plans,
+            ExecMode::Cached { capacity: 1024 },
+        );
         let _first = stream.page(2);
         let early_probes = stream.stats().probes;
         let _rest: Vec<_> = stream.by_ref().collect();
         assert!(early_probes < stream.stats().probes);
-    }
-}
-
-#[cfg(test)]
-mod edge_case_tests {
-    use super::*;
-    use crate::cn::CnGenerator;
-    use crate::ctssn::Ctssn;
-    use crate::decompose;
-    use crate::error::XkError;
-    use crate::master_index::MasterIndex;
-    use crate::optimizer::{build_plan, build_plan_anchored, CtssnPlan};
-    use crate::relations::{PhysicalPolicy, RelationCatalog};
-    use crate::target::TargetGraph;
-    use xkw_datagen::tpch;
-
-    fn setup() -> (Arc<Db>, Arc<RelationCatalog>, MasterIndex, Vec<CtssnPlan>) {
-        let (g, _, _) = tpch::figure1();
-        let tss = tpch::tss_graph();
-        let tg = TargetGraph::build(&g, &tss).unwrap();
-        let master = MasterIndex::build(&g, &tg);
-        let db = Arc::new(Db::new(128));
-        let catalog = Arc::new(RelationCatalog::materialize(
-            &db,
-            &tg,
-            decompose::minimal(&tss),
-            PhysicalPolicy::clustered(),
-            "e",
-        ));
-        let achievable = master.achievable_sets(&["john", "vcr"]);
-        let gen = CnGenerator::new(tss.schema(), &achievable, 2);
-        let plans: Vec<CtssnPlan> = gen
-            .generate(8)
-            .iter()
-            .map(|cn| Ctssn::from_cn(cn, &tss).unwrap())
-            .filter_map(|c| build_plan(&c, &catalog, &master, &["john", "vcr"]))
-            .collect();
-        (db, catalog, master, plans)
-    }
-
-    #[test]
-    fn topk_k_zero_returns_nothing() {
-        let (db, catalog, _, plans) = setup();
-        let res = topk(&db, &catalog, &plans, ExecMode::Naive, 0, 2);
-        assert!(res.rows.is_empty());
-    }
-
-    #[test]
-    fn topk_k_exceeding_total_returns_all() {
-        let (db, catalog, _, plans) = setup();
-        let all = all_plans(&db, &catalog, &plans, ExecMode::Naive);
-        let res = topk(&db, &catalog, &plans, ExecMode::Naive, 10_000, 3);
-        assert_eq!(res.rows.len(), all.rows.len());
-    }
-
-    #[test]
-    fn topk_more_threads_than_plans() {
-        let (db, catalog, _, plans) = setup();
-        let res = topk(&db, &catalog, &plans, ExecMode::Naive, 5, 64);
-        assert_eq!(res.rows.len(), 5);
-    }
-
-    #[test]
-    fn eval_anchored_rejects_non_candidates() {
-        let (db, catalog, master, plans) = setup();
-        // Anchor at the driver (annotated) role with a TO that is not a
-        // candidate: must produce nothing, not crash.
-        let plan = &plans[0];
-        let anchored = build_plan_anchored(
-            &plan.ctssn,
-            &catalog,
-            &master,
-            &["john", "vcr"],
-            plan.driver,
-        )
-        .unwrap();
-        let bogus: ToId = 9999;
-        let mut cache = PartialCache::new(16);
-        let mut stats = ExecStats::default();
-        let mut count = 0;
-        let _ = eval_anchored(
-            &db,
-            &catalog,
-            &anchored,
-            bogus,
-            ExecMode::Naive,
-            &mut cache,
-            &mut stats,
-            &mut |_| {
-                count += 1;
-                ControlFlow::Continue(())
-            },
-        );
-        assert_eq!(count, 0);
-        assert_eq!(stats.probes, 0);
-    }
-
-    #[test]
-    fn empty_plan_list_is_fine_everywhere() {
-        let (db, catalog, _, _) = setup();
-        let plans: Vec<CtssnPlan> = Vec::new();
-        assert!(all_plans(&db, &catalog, &plans, ExecMode::Naive)
-            .rows
-            .is_empty());
-        assert!(all_results(&db, &catalog, &plans).rows.is_empty());
-        assert!(topk(&db, &catalog, &plans, ExecMode::Naive, 5, 2)
-            .rows
-            .is_empty());
-        assert!(ResultStream::new(&db, &catalog, &plans, ExecMode::Naive)
-            .next()
-            .is_none());
-    }
-
-    #[test]
-    fn validated_entry_points_reject_bad_inputs() {
-        let (db, catalog, _, plans) = setup();
-        assert!(matches!(
-            try_all_plans(&db, &catalog, &plans, ExecMode::Cached { capacity: 0 }),
-            Err(XkError::BadMode(_))
-        ));
-        assert!(matches!(
-            try_topk(
-                &db,
-                &catalog,
-                &plans,
-                ExecMode::Cached { capacity: 0 },
-                3,
-                2
-            ),
-            Err(XkError::BadMode(_))
-        ));
-        // A plan referencing a relation beyond the catalog.
-        let mut broken = plans.clone();
-        if let Some(t) = broken.get_mut(0).and_then(|p| p.tiles.get_mut(0)) {
-            t.rel = 999;
-        }
-        assert!(matches!(
-            try_all_results(&db, &catalog, &broken),
-            Err(XkError::MissingRelation { index: 999, .. })
-        ));
-        // A plan whose column map does not match the relation's arity.
-        let mut wide = plans.clone();
-        if let Some(t) = wide.get_mut(0).and_then(|p| p.tiles.get_mut(0)) {
-            t.cols_to_roles.push(0);
-        }
-        assert!(matches!(
-            try_all_plans(&db, &catalog, &wide, ExecMode::Naive),
-            Err(XkError::ArityMismatch { .. })
-        ));
-        // Valid input still evaluates.
-        let ok = try_topk(&db, &catalog, &plans, ExecMode::Naive, 3, 2).unwrap();
-        assert_eq!(ok.rows.len(), 3);
-    }
-
-    #[test]
-    fn io_is_attributed_to_stats() {
-        let (db, catalog, _, plans) = setup();
-        let res = all_plans(&db, &catalog, &plans, ExecMode::Naive);
-        assert!(res.stats.io_hits + res.stats.io_misses > 0);
-        let hj = all_results(&db, &catalog, &plans);
-        assert!(hj.stats.io_hits + hj.stats.io_misses > 0);
-    }
-
-    #[test]
-    fn cache_capacity_one_still_correct() {
-        let (db, catalog, _, plans) = setup();
-        let tiny = all_plans(&db, &catalog, &plans, ExecMode::Cached { capacity: 1 });
-        let naive = all_plans(&db, &catalog, &plans, ExecMode::Naive);
-        assert_eq!(tiny.mttons(), naive.mttons());
     }
 }
 

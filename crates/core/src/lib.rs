@@ -41,10 +41,10 @@ pub mod prelude {
     pub use crate::ctssn::Ctssn;
     pub use crate::decompose::{Decomposition, DecompositionKind, Fragment};
     pub use crate::engine::{
-        EngineStats, ExplainReport, QueryEngine, QueryMetrics, QueryOutcome, ReadView,
+        EngineStats, ExplainReport, QueryEngine, QueryMetrics, QueryOutcome, QuerySpec, ReadView,
     };
     pub use crate::error::XkError;
-    pub use crate::exec::{ExecMode, QueryResults};
+    pub use crate::exec::{ExecMode, ExecRequest, Join, QueryResults};
     pub use crate::master_index::MasterIndex;
     pub use crate::postings::{PostingsFormat, PostingsFormatKind};
     pub use crate::presentation::PresentationGraph;

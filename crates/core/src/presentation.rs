@@ -285,7 +285,7 @@ mod tests {
     use crate::cn::CnGenerator;
     use crate::ctssn::Ctssn;
     use crate::decompose;
-    use crate::exec::{all_plans, ExecMode};
+    use crate::exec::{execute, ExecMode, ExecRequest, Join};
     use crate::master_index::MasterIndex;
     use crate::optimizer::build_plan;
     use crate::relations::PhysicalPolicy;
@@ -323,7 +323,12 @@ mod tests {
             .map(|cn| Ctssn::from_cn(cn, &tss).unwrap())
             .filter_map(|c| build_plan(&c, &catalog, &master, keywords))
             .collect();
-        let res = all_plans(&db, &catalog, &plans, ExecMode::Naive);
+        let res = execute(
+            &db,
+            &catalog,
+            &ExecRequest::all(&plans, Join::NestedLoop(ExecMode::Naive)),
+        )
+        .unwrap();
         let results = res
             .rows
             .iter()
@@ -465,7 +470,7 @@ mod tests {
 #[cfg(test)]
 mod limit_tests {
     use super::*;
-    use crate::exec::{all_plans, ExecMode};
+    use crate::exec::{execute, ExecMode, ExecRequest, Join};
     use crate::optimizer::build_plan_anchored;
     use crate::relations::PhysicalPolicy;
     use std::sync::Arc;
@@ -508,7 +513,12 @@ mod limit_tests {
             .map(|cn| crate::ctssn::Ctssn::from_cn(cn, &tss).unwrap())
             .filter_map(|c| crate::optimizer::build_plan(&c, &catalog, &master, &kws))
             .collect();
-        let res = all_plans(&db, &catalog, &plans, ExecMode::Naive);
+        let res = execute(
+            &db,
+            &catalog,
+            &ExecRequest::all(&plans, Join::NestedLoop(ExecMode::Naive)),
+        )
+        .unwrap();
         assert!(!res.rows.is_empty());
         // Pick a plan with a free Paper role and > 10 results.
         let paper_seg = tss

@@ -228,6 +228,7 @@ pub fn rank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QuerySpec;
     use crate::exec::ExecMode;
     use crate::xkeyword::{DecompositionSpec, LoadOptions, XKeyword};
     use xkw_datagen::tpch;
@@ -289,7 +290,15 @@ mod tests {
         let xk = load();
         let kws = ["john", "vcr"];
         let plans = xk.plans(&kws, 8);
-        let res = xk.query_all(&kws, 8, ExecMode::Cached { capacity: 1024 });
+        let res = xk
+            .engine()
+            .query(&QuerySpec::all(
+                &kws,
+                8,
+                ExecMode::Cached { capacity: 1024 },
+            ))
+            .unwrap()
+            .results;
         let idf = IdfWeights::compute(&xk.master(), &xk.targets(), &kws);
         let ranked = rank(
             res.rows.clone(),
@@ -311,7 +320,15 @@ mod tests {
         let xk = load();
         let kws = ["tv", "vcr"];
         let plans = xk.plans(&kws, 8);
-        let res = xk.query_all(&kws, 8, ExecMode::Cached { capacity: 1024 });
+        let res = xk
+            .engine()
+            .query(&QuerySpec::all(
+                &kws,
+                8,
+                ExecMode::Cached { capacity: 1024 },
+            ))
+            .unwrap()
+            .results;
         let idf = IdfWeights::compute(&xk.master(), &xk.targets(), &kws);
         let neutral = rank(
             res.rows.clone(),

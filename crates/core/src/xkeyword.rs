@@ -32,7 +32,7 @@
 //! tail is truncated, never trusted. [`XKeyword::checkpoint`] rewrites
 //! the log to the net set of live documents.
 
-use crate::engine::QueryEngine;
+use crate::engine::{QueryEngine, QuerySpec};
 use crate::error::XkError;
 use crate::exec::{self, ExecMode, PartialCache, QueryResults};
 use crate::master_index::MasterIndex;
@@ -95,8 +95,9 @@ pub struct LoadOptions {
     /// Buffer-pool lock shards (`0` = pick from `pool_pages`; see
     /// [`xkw_store::BufferPool::with_shards`]).
     pub pool_shards: usize,
-    /// Worker threads for `query_all`/`query_all_hash` plan evaluation
-    /// (clamped to ≥ 1; `query_topk` takes its thread count per call).
+    /// The engine-level worker-thread default (clamped to ≥ 1), read by
+    /// the positional `query_all`/`query_all_hash` delegates and
+    /// `canonical_results`; a [`QuerySpec`] names its own count.
     pub exec_threads: usize,
     /// Whether to serialize target-object BLOBs.
     pub build_blobs: bool,
@@ -268,8 +269,9 @@ impl XKeyword {
     ///     xkw_datagen::tpch::tss_graph(),
     ///     LoadOptions::default(),
     /// ).unwrap();
-    /// let res = xk.query_all(&["john", "vcr"], 8, ExecMode::Naive);
-    /// assert_eq!(res.mttons().iter().map(|m| m.score).min(), Some(6));
+    /// let spec = QuerySpec::all(&["john", "vcr"], 8, ExecMode::Naive);
+    /// let out = xk.engine().query(&spec).unwrap();
+    /// assert_eq!(out.mttons.iter().map(|m| m.score).min(), Some(6));
     /// ```
     ///
     /// # Errors
@@ -629,7 +631,7 @@ impl XKeyword {
     }
 
     /// The shared query-stage engine behind this instance. It exposes the
-    /// typed-error `query_*`/`prepare` entry points, the plan cache and
+    /// typed-error `query`/`explain`/`prepare` entry points, the plan cache and
     /// per-stage [`crate::engine::QueryMetrics`]/[`crate::engine::EngineStats`];
     /// being `Send + Sync`, `&engine` can be handed to worker threads.
     pub fn engine(&self) -> &QueryEngine {
@@ -698,37 +700,12 @@ impl XKeyword {
             .unwrap_or_default()
     }
 
-    /// Top-k query (the web-search-engine presentation of §6): returns
-    /// the first `k` results across candidate networks, smallest CNs
-    /// first, evaluated by `threads` worker threads.
-    pub fn query_topk(
-        &self,
-        keywords: &[&str],
-        z: usize,
-        k: usize,
-        mode: ExecMode,
-        threads: usize,
-    ) -> QueryResults {
-        self.engine
-            .query_topk(keywords, z, k, mode, threads)
-            .map(|o| o.results)
-            .unwrap_or_default()
-    }
-
-    /// Evaluates every candidate network to completion with nested-loop
-    /// probes (naive or cached).
+    /// Every result by nested-loop probes, any error flattened to an
+    /// empty answer — `engine().query(&QuerySpec::all(..))` keeps it.
+    /// Kept for `benchmark/`; remove with the next benchmark re-baseline.
     pub fn query_all(&self, keywords: &[&str], z: usize, mode: ExecMode) -> QueryResults {
         self.engine
             .query_all(keywords, z, mode)
-            .map(|o| o.results)
-            .unwrap_or_default()
-    }
-
-    /// Evaluates every candidate network via full scans + hash joins
-    /// (the "all results" regime of §7).
-    pub fn query_all_hash(&self, keywords: &[&str], z: usize) -> QueryResults {
-        self.engine
-            .query_all_hash(keywords, z)
             .map(|o| o.results)
             .unwrap_or_default()
     }
@@ -748,7 +725,11 @@ impl XKeyword {
     /// fewer documents may legitimately not know a keyword).
     pub fn canonical_results(&self, keywords: &[&str], z: usize) -> Result<String, XkError> {
         use std::fmt::Write as _;
-        let mttons = match self.engine.query_all(keywords, z, ExecMode::Naive) {
+        let spec = QuerySpec {
+            threads: self.engine.exec_threads(),
+            ..QuerySpec::all(keywords, z, ExecMode::Naive)
+        };
+        let mttons = match self.engine.query(&spec) {
             Ok(o) => o.mttons,
             Err(XkError::UnknownKeyword(_)) => Vec::new(),
             Err(e) => return Err(e),
@@ -929,7 +910,15 @@ mod tests {
             DecompositionSpec::XKeyword { m: 6, b: 2 },
             PhysicalPolicy::clustered(),
         );
-        let res = xk.query_all(&["john", "vcr"], 8, ExecMode::Cached { capacity: 1024 });
+        let res = xk
+            .engine()
+            .query(&QuerySpec::all(
+                &["john", "vcr"],
+                8,
+                ExecMode::Cached { capacity: 1024 },
+            ))
+            .unwrap()
+            .results;
         let mttons = res.mttons();
         let oracle = enumerate_mttons(&xk.graph(), &xk.targets(), &["john", "vcr"], 8);
         assert_eq!(mttons, oracle);
@@ -939,7 +928,11 @@ mod tests {
     #[test]
     fn blobs_and_labels() {
         let xk = load(DecompositionSpec::Minimal, PhysicalPolicy::clustered());
-        let res = xk.query_all(&["john", "vcr"], 8, ExecMode::Naive);
+        let res = xk
+            .engine()
+            .query(&QuerySpec::all(&["john", "vcr"], 8, ExecMode::Naive))
+            .unwrap()
+            .results;
         let best = &res.mttons()[0];
         let labels: Vec<String> = best.tos.iter().map(|&t| xk.label(t)).collect();
         assert!(labels.iter().any(|l| l.contains("John")));
@@ -952,7 +945,14 @@ mod tests {
     #[test]
     fn topk_on_facade() {
         let xk = load(DecompositionSpec::Minimal, PhysicalPolicy::clustered());
-        let res = xk.query_topk(&["us", "vcr"], 8, 5, ExecMode::Cached { capacity: 1024 }, 2);
+        let res = xk
+            .engine()
+            .query(&QuerySpec {
+                threads: 2,
+                ..QuerySpec::topk(&["us", "vcr"], 8, 5, ExecMode::Cached { capacity: 1024 })
+            })
+            .unwrap()
+            .results;
         assert_eq!(res.rows.len(), 5);
     }
 
@@ -965,7 +965,11 @@ mod tests {
         let kws = ["us", "vcr"];
         let plans = xk.plans(&kws, 8);
         // Find a plan with results.
-        let res = xk.query_all(&kws, 8, ExecMode::Naive);
+        let res = xk
+            .engine()
+            .query(&QuerySpec::all(&kws, 8, ExecMode::Naive))
+            .unwrap()
+            .results;
         let pi = res.rows[0].plan;
         let mut pg = xk.initial_presentation(&plans, pi).expect("PG0");
         assert!(pg.invariant_holds());
@@ -1038,7 +1042,11 @@ mod tests {
         let oracle = bulk_oracle(&[DOC2, DOC3]);
         assert_canonical_eq(&xk, &oracle, "insert");
         // New keywords are discoverable and their blobs render.
-        let res = xk.query_all(&["royce", "ranking"], 6, ExecMode::Naive);
+        let res = xk
+            .engine()
+            .query(&QuerySpec::all(&["royce", "ranking"], 6, ExecMode::Naive))
+            .unwrap()
+            .results;
         assert!(!res.rows.is_empty());
     }
 

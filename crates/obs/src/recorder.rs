@@ -73,10 +73,10 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Execution mode as recorded — mirrors `xkw_core::ExecMode`, redefined
-/// here because the dependency points the other way (core uses obs).
-/// The engine converts both directions so a deferred EXPLAIN capture
-/// re-runs under the original mode.
+/// The join algorithm as recorded — mirrors `xkw_core::exec::Join`,
+/// redefined here because the dependency points the other way (core
+/// uses obs). The engine converts both directions so a deferred EXPLAIN
+/// capture re-runs the algorithm that actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordedMode {
     /// Nested loops with no partial-result cache.
@@ -86,14 +86,17 @@ pub enum RecordedMode {
         /// Cache capacity in entries.
         capacity: usize,
     },
+    /// Full scans + hash joins.
+    Hash,
 }
 
 impl RecordedMode {
-    /// Short label for tables and JSON (`naive` / `cached:8192`).
+    /// Short label for tables and JSON (`naive` / `cached:8192` / `hash`).
     pub fn label(&self) -> String {
         match self {
             RecordedMode::Naive => "naive".to_owned(),
             RecordedMode::Cached { capacity } => format!("cached:{capacity}"),
+            RecordedMode::Hash => "hash".to_owned(),
         }
     }
 }
@@ -162,7 +165,7 @@ pub struct QueryRecord {
     pub k: Option<usize>,
     /// Which engine entry point ran: `all`, `topk`, `hash`, `explain`.
     pub path: &'static str,
-    /// Execution mode, kept for deferred EXPLAIN re-runs.
+    /// Join algorithm, kept for deferred EXPLAIN re-runs.
     pub mode: RecordedMode,
     /// Postings format backing the master index (`raw` / `packed`).
     pub postings: &'static str,
@@ -357,8 +360,10 @@ pub struct PendingExplain {
     pub z: usize,
     /// Top-k limit, `None` for exhaustive.
     pub k: Option<usize>,
-    /// Execution mode to re-run under.
+    /// Join algorithm to re-run under.
     pub mode: RecordedMode,
+    /// Whether top-k pruning was enabled.
+    pub prune: bool,
     /// Original deadline — the capture honors it so a query that
     /// degraded under a deadline cannot stall the capture either.
     pub deadline_ns: Option<u64>,
@@ -605,6 +610,7 @@ impl FlightRecorder {
                         z: r.z,
                         k: r.k,
                         mode: r.mode,
+                        prune: r.prune,
                         deadline_ns: r.deadline_ns,
                     });
                 }

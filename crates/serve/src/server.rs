@@ -655,19 +655,15 @@ fn evaluate(shared: &Shared, budget: &SessionBudget, req: &QueryRequest) -> Fram
     let deadline = budget.clamp(capped);
 
     let started = Instant::now();
-    let outcome = if req.k > 0 {
-        engine.query_topk_opts(
-            &keywords,
-            usize::from(req.z),
-            req.k as usize,
-            mode,
-            cfg.exec_threads,
-            deadline,
-            req.flags & proto::FLAG_NO_PRUNE == 0,
-        )
-    } else {
-        engine.query_all_within(&keywords, usize::from(req.z), mode, deadline)
-    };
+    let outcome = engine.query(&QuerySpec {
+        keywords: &keywords,
+        z: usize::from(req.z),
+        join: Join::NestedLoop(mode),
+        k: (req.k > 0).then_some(req.k as usize),
+        prune: req.flags & proto::FLAG_NO_PRUNE == 0,
+        threads: cfg.exec_threads,
+        deadline,
+    });
     budget.charge(started.elapsed());
 
     let out = match outcome {

@@ -74,7 +74,14 @@ fn main() {
 
     let t = Instant::now();
     let k = 10;
-    let res = xk.query_topk(&[&a, &b], 8, k, ExecMode::Cached { capacity: 8192 }, 4);
+    let res = xk
+        .engine()
+        .query(&QuerySpec {
+            threads: 4,
+            ..QuerySpec::topk(&[&a, &b], 8, k, ExecMode::Cached { capacity: 8192 })
+        })
+        .unwrap()
+        .results;
     println!(
         "top-{k} in {:?} ({} probes)\n",
         t.elapsed(),

@@ -85,14 +85,19 @@ fn main() {
         let plans = xk.plans(&["surname3", "surname7"], 8);
         let joins: usize = plans.iter().map(|p| p.joins()).sum();
         let io_before = xk.db.io();
-        let res = exec::topk(
+        let res = exec::execute(
             &xk.db,
             &xk.catalog(),
-            &plans,
-            ExecMode::Cached { capacity: 8192 },
-            20,
-            4,
-        );
+            &ExecRequest {
+                threads: 4,
+                ..ExecRequest::topk(
+                    &plans,
+                    Join::NestedLoop(ExecMode::Cached { capacity: 8192 }),
+                    20,
+                )
+            },
+        )
+        .unwrap();
         let io = xk.db.io().since(io_before);
         println!(
             "{:<16}{:>6}{:>6}{:>12}{:>8}{:>10}{:>10}{:>10}",

@@ -57,7 +57,15 @@ fn main() {
         vec!["databases", "anger"], // topic to a book in another shelf
     ] {
         println!("\nquery: {query:?}");
-        let res = xk.query_all(&query, 10, ExecMode::Cached { capacity: 2048 });
+        let res = xk
+            .engine()
+            .query(&QuerySpec::all(
+                &query,
+                10,
+                ExecMode::Cached { capacity: 2048 },
+            ))
+            .unwrap()
+            .results;
         let mut ranked = res.mttons();
         ranked.sort_by_key(|m| m.score);
         for m in ranked.iter().take(4) {

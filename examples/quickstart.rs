@@ -43,7 +43,15 @@ fn main() {
     //    knowledge required.
     let keywords = ["john", "vcr"];
     let z = 8; // maximum result size the user cares about
-    let res = xk.query_all(&keywords, z, ExecMode::Cached { capacity: 1024 });
+    let res = xk
+        .engine()
+        .query(&QuerySpec::all(
+            &keywords,
+            z,
+            ExecMode::Cached { capacity: 1024 },
+        ))
+        .unwrap()
+        .results;
 
     println!("\nResults for {keywords:?} (smaller size = closer connection):");
     let mut ranked = res.mttons();

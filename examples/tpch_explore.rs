@@ -36,7 +36,11 @@ fn main() {
     // The Figure 2 candidate network: Person—Lineitem—Part—Part via the
     // supplier edge. The list presentation would print all four N1..N4;
     // the presentation graph starts with just one.
-    let full = xk.query_all(&kws, 8, ExecMode::Naive);
+    let full = xk
+        .engine()
+        .query(&QuerySpec::all(&kws, 8, ExecMode::Naive))
+        .unwrap()
+        .results;
     let li = seg(&xk, "Lineitem");
     let person = seg(&xk, "Person");
     let supplier_edge = xk.tss.find_edge(li, person).unwrap();

@@ -696,17 +696,25 @@ fn print_stats(xk: &XKeyword) {
     }
 }
 
+/// The spec of one CLI query: `--k`, `--no-prune`, `--threads` and
+/// `--deadline-ms` apply to plain and EXPLAIN runs alike.
+fn query_spec<'a>(keywords: &'a [&'a str], args: &Args) -> QuerySpec<'a> {
+    QuerySpec {
+        keywords,
+        z: args.z,
+        join: Join::NestedLoop(ExecMode::Cached { capacity: 8192 }),
+        k: args.k,
+        prune: args.prune,
+        threads: args.threads.max(1),
+        deadline: args.deadline,
+    }
+}
+
 /// Runs one query in EXPLAIN ANALYZE mode and prints the per-operator
 /// profile of every candidate-network plan. Returns whether it succeeded.
 fn run_explain(xk: &XKeyword, query: &str, args: &Args) -> bool {
     let keywords: Vec<&str> = query.split_whitespace().collect();
-    let engine = xk.engine();
-    let mode = ExecMode::Cached { capacity: 8192 };
-    let report = match args.k {
-        Some(k) => engine.explain_topk(&keywords, args.z, k, mode),
-        None => engine.explain(&keywords, args.z, mode),
-    };
-    match report {
+    match xk.engine().explain(&query_spec(&keywords, args)) {
         Ok(report) => {
             print!("{}", report.render());
             if args.stats {
@@ -725,20 +733,7 @@ fn run_explain(xk: &XKeyword, query: &str, args: &Args) -> bool {
 /// Returns whether it succeeded.
 fn run_query(xk: &XKeyword, query: &str, args: &Args) -> bool {
     let keywords: Vec<&str> = query.split_whitespace().collect();
-    let engine = xk.engine();
-    let mode = ExecMode::Cached { capacity: 8192 };
-    let out = match args.k {
-        Some(k) => engine.query_topk_opts(
-            &keywords,
-            args.z,
-            k,
-            mode,
-            args.threads.max(1),
-            args.deadline,
-            args.prune,
-        ),
-        None => engine.query_all_within(&keywords, args.z, mode, args.deadline),
-    };
+    let out = xk.engine().query(&query_spec(&keywords, args));
     let out = match out {
         Ok(out) => out,
         Err(e) => {

@@ -24,9 +24,10 @@
 //!     LoadOptions::default(),
 //! ).unwrap();
 //!
-//! let res = xk.query_all(&["snivilisation", "sides"], 8,
-//!                        ExecMode::Cached { capacity: 256 });
-//! let best = res.mttons().into_iter().min_by_key(|m| m.score).unwrap();
+//! let spec = QuerySpec::all(&["snivilisation", "sides"], 8,
+//!                           ExecMode::Cached { capacity: 256 });
+//! let res = xk.engine().query(&spec).unwrap();
+//! let best = res.mttons.into_iter().min_by_key(|m| m.score).unwrap();
 //! // The two albums connect through their shared band.
 //! assert_eq!(best.tos.len(), 3);
 //! ```

@@ -166,21 +166,31 @@ fn results_identical_raw_vs_packed_at_1_2_8_threads() {
     );
 
     for threads in [1usize, 2, 8] {
-        raw.engine().set_exec_threads(threads);
-        packed.engine().set_exec_threads(threads);
         let mode = ExecMode::Cached { capacity: 4096 };
+        let all = QuerySpec {
+            threads,
+            ..QuerySpec::all(&kws, 7, mode)
+        };
+        let hash = QuerySpec {
+            threads,
+            ..QuerySpec::all_hash(&kws, 7)
+        };
+        let topk = QuerySpec {
+            threads,
+            ..QuerySpec::topk(&kws, 7, 10, mode)
+        };
 
-        let r = raw.query_all(&kws, 7, mode);
-        let p = packed.query_all(&kws, 7, mode);
+        let r = raw.engine().query(&all).unwrap().results;
+        let p = packed.engine().query(&all).unwrap().results;
         assert_eq!(r.rows, p.rows, "query_all rows, {threads} threads");
         assert!(!r.rows.is_empty(), "harness must not be vacuous");
 
-        let rh = raw.query_all_hash(&kws, 7);
-        let ph = packed.query_all_hash(&kws, 7);
+        let rh = raw.engine().query(&hash).unwrap().results;
+        let ph = packed.engine().query(&hash).unwrap().results;
         assert_eq!(rh.rows, ph.rows, "hash rows, {threads} threads");
 
-        let rt = raw.query_topk(&kws, 7, 10, mode, threads);
-        let pt = packed.query_topk(&kws, 7, 10, mode, threads);
+        let rt = raw.engine().query(&topk).unwrap().results;
+        let pt = packed.engine().query(&topk).unwrap().results;
         assert_eq!(rt.rows, pt.rows, "topk rows, {threads} threads");
         assert_eq!(rt.mttons(), pt.mttons(), "topk mttons, {threads} threads");
     }

@@ -49,7 +49,7 @@ fn stress_shared_engine_eight_threads() {
         .iter()
         .map(|kws| {
             engine
-                .query_all(kws, 8, ExecMode::Cached { capacity: 1024 })
+                .query(&QuerySpec::all(kws, 8, ExecMode::Cached { capacity: 1024 }))
                 .ok()
                 .map(|o| o.results.rows)
         })
@@ -71,7 +71,7 @@ fn stress_shared_engine_eight_threads() {
                         }
                         let kws = queries[i % queries.len()];
                         let got = engine
-                            .query_all(kws, 8, ExecMode::Cached { capacity: 1024 })
+                            .query(&QuerySpec::all(kws, 8, ExecMode::Cached { capacity: 1024 }))
                             .ok()
                             .map(|o| o.results.rows);
                         assert_eq!(
@@ -109,11 +109,19 @@ fn topk_deterministic_across_thread_counts() {
     for kws in [&["john", "vcr"][..], &["us", "vcr"], &["john", "us"]] {
         for k in [1usize, 3, 10, 10_000] {
             let reference = engine
-                .query_topk(kws, 8, k, ExecMode::Cached { capacity: 1024 }, 1)
+                .query(&QuerySpec::topk(
+                    kws,
+                    8,
+                    k,
+                    ExecMode::Cached { capacity: 1024 },
+                ))
                 .unwrap();
             for threads in [2usize, 8] {
                 let got = engine
-                    .query_topk(kws, 8, k, ExecMode::Cached { capacity: 1024 }, threads)
+                    .query(&QuerySpec {
+                        threads,
+                        ..QuerySpec::topk(kws, 8, k, ExecMode::Cached { capacity: 1024 })
+                    })
                     .unwrap();
                 assert_eq!(
                     got.results.rows, reference.results.rows,
@@ -133,13 +141,13 @@ fn clear_cold_starts_without_changing_results() {
     let xk = load_figure1();
     let engine = xk.engine();
     let warm = engine
-        .query_all(&["john", "vcr"], 8, ExecMode::Naive)
+        .query(&QuerySpec::all(&["john", "vcr"], 8, ExecMode::Naive))
         .unwrap();
     let before = xk.db.io();
     xk.db.pool().clear();
     assert_eq!(xk.db.pool().resident(), 0, "clear must empty every shard");
     let cold = engine
-        .query_all(&["john", "vcr"], 8, ExecMode::Naive)
+        .query(&QuerySpec::all(&["john", "vcr"], 8, ExecMode::Naive))
         .unwrap();
     assert_eq!(cold.results.rows, warm.results.rows);
     let after = xk.db.io().since(before);
@@ -237,7 +245,7 @@ proptest! {
         let mode = ExecMode::Cached { capacity: 1024 };
         for format in [PostingsFormatKind::Raw, PostingsFormatKind::Packed] {
             let engine = shared_figure1(format).engine();
-            let mut oracle = engine.query_all(kws, 8, mode).unwrap().results.rows;
+            let mut oracle = engine.query(&QuerySpec::all(kws, 8, mode)).unwrap().results.rows;
             oracle.sort_by(|a, b| {
                 (a.score, a.plan, &a.assignment).cmp(&(b.score, b.plan, &b.assignment))
             });
@@ -247,7 +255,7 @@ proptest! {
                 for threads in [1usize, 2, 8] {
                     for prune in [true, false] {
                         let got = engine
-                            .query_topk_opts(kws, 8, k, mode, threads, None, prune)
+                            .query(&QuerySpec { threads, prune, ..QuerySpec::topk(kws, 8, k, mode) })
                             .unwrap();
                         prop_assert_eq!(
                             &got.results.rows,

@@ -101,13 +101,17 @@ fn typed_errors_and_facade_soft_semantics_agree() {
     let xk = load();
     let e = xk.engine();
     assert_eq!(
-        e.query_all(&["florp", "surname0"], 6, ExecMode::Naive)
+        e.query(&QuerySpec::all(&["florp", "surname0"], 6, ExecMode::Naive))
             .unwrap_err(),
         XkError::UnknownKeyword("florp".to_owned())
     );
     assert_eq!(e.prepare(&[], 6).unwrap_err(), XkError::EmptyQuery);
     assert!(matches!(
-        e.query_all(&["surname0"], 6, ExecMode::Cached { capacity: 0 }),
+        e.query(&QuerySpec::all(
+            &["surname0"],
+            6,
+            ExecMode::Cached { capacity: 0 }
+        )),
         Err(XkError::BadMode(_))
     ));
     // The façade keeps its historical contract on the same engine.
@@ -132,7 +136,11 @@ fn engine_outcome_matches_facade_and_reports_metrics() {
         .mttons();
     let out = xk
         .engine()
-        .query_all(&kws, 6, ExecMode::Cached { capacity: 2048 })
+        .query(&QuerySpec::all(
+            &kws,
+            6,
+            ExecMode::Cached { capacity: 2048 },
+        ))
         .unwrap();
     assert_eq!(out.mttons, via_facade);
     assert!(!out.mttons.is_empty());
@@ -155,7 +163,11 @@ fn concurrent_queries_on_shared_engine() {
     let (a, b) = coauthor_pair(&xk);
     let kws = [a.as_str(), b.as_str()];
     let reference = e
-        .query_all(&kws, 6, ExecMode::Cached { capacity: 2048 })
+        .query(&QuerySpec::all(
+            &kws,
+            6,
+            ExecMode::Cached { capacity: 2048 },
+        ))
         .unwrap()
         .mttons;
     assert!(!reference.is_empty());
@@ -172,7 +184,7 @@ fn concurrent_queries_on_shared_engine() {
                     } else {
                         ExecMode::Cached { capacity: 2048 }
                     };
-                    let out = e.query_all(kws, 6, mode).unwrap();
+                    let out = e.query(&QuerySpec::all(kws, 6, mode)).unwrap();
                     assert_eq!(&out.mttons, reference);
                     assert!(out.metrics.plan_cache_hit);
                     out.metrics.io_hits + out.metrics.io_misses
@@ -198,7 +210,11 @@ fn concurrent_topk_smoke() {
     let (a, b) = coauthor_pair(&xk);
     let kws = [a.as_str(), b.as_str()];
     let all = e
-        .query_all(&kws, 6, ExecMode::Cached { capacity: 2048 })
+        .query(&QuerySpec::all(
+            &kws,
+            6,
+            ExecMode::Cached { capacity: 2048 },
+        ))
         .unwrap();
     let valid: HashSet<Mtton> = all.results.rows.iter().map(|r| r.to_mtton()).collect();
     let k = 3.min(all.results.rows.len());
@@ -210,7 +226,10 @@ fn concurrent_topk_smoke() {
             let valid = &valid;
             s.spawn(move || {
                 let top = e
-                    .query_topk(kws, 6, k, ExecMode::Cached { capacity: 2048 }, 2)
+                    .query(&QuerySpec {
+                        threads: 2,
+                        ..QuerySpec::topk(kws, 6, k, ExecMode::Cached { capacity: 2048 })
+                    })
                     .unwrap();
                 assert_eq!(top.results.rows.len(), k);
                 for r in &top.results.rows {

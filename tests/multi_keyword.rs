@@ -38,7 +38,14 @@ fn three_keywords_match_oracle() {
             ["john", "us", "dvd"],
         ] {
             let got = xk
-                .query_all(&kws, 8, ExecMode::Cached { capacity: 4096 })
+                .engine()
+                .query(&QuerySpec::all(
+                    &kws,
+                    8,
+                    ExecMode::Cached { capacity: 4096 },
+                ))
+                .unwrap()
+                .results
                 .mttons();
             let want = enumerate_mttons(&xk.graph(), &xk.targets(), &kws, 8);
             assert_eq!(got, want, "{kws:?}");
@@ -119,7 +126,14 @@ fn three_keyword_cns_include_stars() {
     }
     // And the branching plans actually execute correctly.
     let got = xk
-        .query_all(&kws, 6, ExecMode::Cached { capacity: 4096 })
+        .engine()
+        .query(&QuerySpec::all(
+            &kws,
+            6,
+            ExecMode::Cached { capacity: 4096 },
+        ))
+        .unwrap()
+        .results
         .mttons();
     let want = enumerate_mttons(&xk.graph(), &xk.targets(), &kws, 6);
     assert_eq!(got, want);
@@ -132,7 +146,14 @@ fn four_keywords_single_result_shape() {
     let xk = load(DecompositionSpec::Minimal);
     let kws = ["set", "dvd", "vcr", "john"];
     let got = xk
-        .query_all(&kws, 8, ExecMode::Cached { capacity: 4096 })
+        .engine()
+        .query(&QuerySpec::all(
+            &kws,
+            8,
+            ExecMode::Cached { capacity: 4096 },
+        ))
+        .unwrap()
+        .results
         .mttons();
     let want = enumerate_mttons(&xk.graph(), &xk.targets(), &kws, 8);
     assert_eq!(got, want);
@@ -173,7 +194,14 @@ fn oracle_agreement_on_random_data_three_keywords() {
         toks[toks.len() - 1].as_str(),
     ];
     let got = xk
-        .query_all(&kws, 6, ExecMode::Cached { capacity: 4096 })
+        .engine()
+        .query(&QuerySpec::all(
+            &kws,
+            6,
+            ExecMode::Cached { capacity: 4096 },
+        ))
+        .unwrap()
+        .results
         .mttons();
     let want = enumerate_mttons(&xk.graph(), &xk.targets(), &kws, 6);
     assert_eq!(got, want, "{kws:?}");

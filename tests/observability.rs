@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use xkeyword::core::exec::{try_all_plans_mt, ExecMode};
+use xkeyword::core::exec::{execute, ExecMode};
 use xkeyword::core::prelude::*;
 use xkeyword::core::xkeyword::DecompositionSpec;
 use xkeyword::datagen::dblp::DblpConfig;
@@ -81,7 +81,9 @@ fn explain_io_decomposes_on_three_keyword_dblp_query() {
     assert_eq!(names.len(), 3, "DBLP instance must hold 3 author surnames");
     let keywords: Vec<&str> = names.iter().map(String::as_str).collect();
 
-    let report = engine.explain(&keywords, 8, cached()).unwrap();
+    let report = engine
+        .explain(&QuerySpec::all(&keywords, 8, cached()))
+        .unwrap();
     let m = &report.outcome.metrics;
     assert_eq!(
         report.io_total(),
@@ -94,13 +96,69 @@ fn explain_io_decomposes_on_three_keyword_dblp_query() {
     );
     assert_eq!(report.profiles.len(), m.plans);
 
-    let plain = engine.query_all(&keywords, 8, cached()).unwrap();
+    let plain = engine
+        .query(&QuerySpec::all(&keywords, 8, cached()))
+        .unwrap();
     assert_eq!(report.outcome.mttons, plain.mttons);
 
     let text = report.render();
     assert!(text.contains("drive "), "missing driver operator:\n{text}");
     assert!(text.contains("probe "), "missing probe operator:\n{text}");
     assert!(text.contains("totals: plans="), "missing footer:\n{text}");
+
+    // The hash path decomposes too, at any worker count: scan I/O sits
+    // on each plan's root, there being no probe steps to charge.
+    let hash = QuerySpec {
+        threads: 2,
+        ..QuerySpec::all_hash(&keywords, 8)
+    };
+    let report = engine.explain(&hash).unwrap();
+    let m = &report.outcome.metrics;
+    assert_eq!(report.io_total(), m.io_hits + m.io_misses);
+    assert!(report.io_total() > 0);
+    assert_eq!(report.profiles.len(), m.plans);
+    assert_eq!(report.outcome.mttons, plain.mttons);
+    assert!(!report.render().contains("probe "));
+}
+
+/// A deadline-degraded EXPLAIN still decomposes exactly: plans the
+/// deadline skipped show as zero-I/O `skipped` entries, and a plan
+/// aborted mid-way keeps what it measured.
+#[test]
+fn degraded_explain_still_decomposes_io() {
+    use xkeyword::store::{FaultSpec, FaultTarget};
+    let (graph, _, _) = tpch::figure1();
+    let options = LoadOptions {
+        decomposition: DecompositionSpec::XKeyword { m: 6, b: 2 },
+        pool_pages: 2,
+        ..LoadOptions::default()
+    };
+    let xk = XKeyword::load(graph, tpch::tss_graph(), options).unwrap();
+    // Installed after load so the stalls only tax the query path.
+    xk.db
+        .install_faults(FaultSpec::new(0x5EED).slow(FaultTarget::All, 1.0, 20_000_000));
+    let spec = QuerySpec {
+        deadline: Some(std::time::Duration::from_millis(70)),
+        ..QuerySpec::all(&["john", "vcr"], 8, cached())
+    };
+    match xk.engine().explain(&spec) {
+        Ok(report) => {
+            let deg = &report.outcome.results.degradation;
+            assert!(deg.deadline_exceeded, "20ms stalls cannot finish in 70ms");
+            let m = &report.outcome.metrics;
+            assert_eq!(report.io_total(), m.io_hits + m.io_misses);
+            assert_eq!(report.profiles.len(), m.plans);
+            let skipped = report.profiles.iter().filter(|p| p.skipped).count();
+            assert_eq!(skipped, deg.plans_skipped);
+            assert!(report
+                .profiles
+                .iter()
+                .all(|p| !p.skipped || p.io_total() == 0));
+        }
+        // Nothing produced in time: the same typed error a plain query gets.
+        Err(XkError::DeadlineExceeded) => {}
+        Err(other) => panic!("expected a degraded report or DeadlineExceeded, got {other:?}"),
+    }
 }
 
 /// Sabotaged plans make worker threads panic; the engine surfaces that
@@ -116,7 +174,15 @@ fn worker_panics_surface_as_typed_errors() {
     let driver = plans[last].driver as usize;
     plans[last].candidates[driver] = None;
     for threads in [1usize, 2, 4] {
-        let err = try_all_plans_mt(&xk.db, &xk.catalog(), &plans, cached(), threads).unwrap_err();
+        let err = execute(
+            &xk.db,
+            &xk.catalog(),
+            &ExecRequest {
+                threads,
+                ..ExecRequest::all(&plans, Join::NestedLoop(cached()))
+            },
+        )
+        .unwrap_err();
         assert!(
             matches!(&err, XkError::WorkerPanic { plan: Some(p), .. } if *p == last),
             "expected WorkerPanic naming plan {last} at {threads} threads, got {err:?}"
@@ -137,8 +203,12 @@ fn chrome_trace_export_is_valid_trace_event_json() {
     let xk = load_figure1();
     xkeyword::obs::set_enabled(true);
     let engine = xk.engine();
-    engine.query_all(&["john", "vcr"], 8, cached()).unwrap();
-    engine.query_all(&["us", "vcr"], 8, cached()).unwrap();
+    engine
+        .query(&QuerySpec::all(&["john", "vcr"], 8, cached()))
+        .unwrap();
+    engine
+        .query(&QuerySpec::all(&["us", "vcr"], 8, cached()))
+        .unwrap();
     let spans = xkeyword::obs::trace::take_spans();
     assert!(!spans.is_empty(), "tracing enabled must record spans");
     assert!(spans.iter().any(|s| s.name == "query"));
@@ -426,7 +496,7 @@ proptest! {
                         let b = xk.db.local_io();
                         for _ in 0..rounds {
                             for &p in &picks {
-                                engine.query_all(queries[p], 8, cached()).unwrap();
+                                engine.query(&QuerySpec::all(queries[p], 8, cached())).unwrap();
                             }
                         }
                         let d = xk.db.local_io().since(b);

@@ -28,7 +28,15 @@ fn load(spec: DecompositionSpec) -> XKeyword {
 #[test]
 fn john_vcr_sizes() {
     let xk = load(DecompositionSpec::Minimal);
-    let res = xk.query_all(&["john", "vcr"], 8, ExecMode::Cached { capacity: 1024 });
+    let res = xk
+        .engine()
+        .query(&QuerySpec::all(
+            &["john", "vcr"],
+            8,
+            ExecMode::Cached { capacity: 1024 },
+        ))
+        .unwrap()
+        .results;
     let mut scores: Vec<usize> = res.mttons().iter().map(|m| m.score).collect();
     scores.sort_unstable();
     assert_eq!(scores[0], 6, "best John-VCR result has size 6");
@@ -57,7 +65,11 @@ fn john_vcr_sizes() {
 fn us_vcr_four_results() {
     let xk = load(DecompositionSpec::XKeyword { m: 6, b: 2 });
     let plans = xk.plans(&["us", "vcr"], 8);
-    let res = xk.query_all(&["us", "vcr"], 8, ExecMode::Naive);
+    let res = xk
+        .engine()
+        .query(&QuerySpec::all(&["us", "vcr"], 8, ExecMode::Naive))
+        .unwrap()
+        .results;
     // The supplier-route CN: Person–Lineitem–Part–Part (size 3 in TSS
     // edges) using the Lineitem→Person supplier edge.
     let li = xk
@@ -130,7 +142,14 @@ fn engine_equals_semantics_oracle() {
         let xk = load(spec);
         for kws in [["john", "vcr"], ["us", "tv"], ["mike", "dvd"]] {
             let got = xk
-                .query_all(&kws, 8, ExecMode::Cached { capacity: 2048 })
+                .engine()
+                .query(&QuerySpec::all(
+                    &kws,
+                    8,
+                    ExecMode::Cached { capacity: 2048 },
+                ))
+                .unwrap()
+                .results
                 .mttons();
             let want =
                 xkeyword::core::semantics::enumerate_mttons(&xk.graph(), &xk.targets(), &kws, 8);
@@ -201,7 +220,11 @@ fn figure2_presentation_graph_walkthrough() {
 fn scores_are_mtnn_sizes() {
     let xk = load(DecompositionSpec::Minimal);
     let (graph, _, _) = tpch::figure1();
-    let res = xk.query_all(&["john", "tv"], 8, ExecMode::Naive);
+    let res = xk
+        .engine()
+        .query(&QuerySpec::all(&["john", "tv"], 8, ExecMode::Naive))
+        .unwrap()
+        .results;
     let oracle_sizes: std::collections::HashSet<usize> =
         enumerate_mtnns(&graph, &["john", "tv"], 8)
             .iter()

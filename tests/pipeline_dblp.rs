@@ -94,7 +94,14 @@ fn oracle_agreement_small_dblp() {
     let (a, b) = coauthor_pair(&xk);
     let kws = [a.as_str(), b.as_str()];
     let got = xk
-        .query_all(&kws, 6, ExecMode::Cached { capacity: 2048 })
+        .engine()
+        .query(&QuerySpec::all(
+            &kws,
+            6,
+            ExecMode::Cached { capacity: 2048 },
+        ))
+        .unwrap()
+        .results
         .mttons();
     let want = enumerate_mttons(&xk.graph(), &xk.targets(), &kws, 6);
     assert_eq!(got, want);
@@ -132,13 +139,23 @@ fn all_decompositions_agree_on_medium_dblp() {
         let (a, b) = coauthor_pair(&xk);
         let kws = [a.as_str(), b.as_str()];
         for mode in [ExecMode::Naive, ExecMode::Cached { capacity: 4096 }] {
-            let got = xk.query_all(&kws, 7, mode).mttons();
+            let got = xk
+                .engine()
+                .query(&QuerySpec::all(&kws, 7, mode))
+                .unwrap()
+                .results
+                .mttons();
             match &reference {
                 None => reference = Some(got),
                 Some(want) => assert_eq!(&got, want, "{spec:?}/{policy:?}/{mode:?}"),
             }
         }
-        let hash = xk.query_all_hash(&kws, 7).mttons();
+        let hash = xk
+            .engine()
+            .query(&QuerySpec::all_hash(&kws, 7))
+            .unwrap()
+            .results
+            .mttons();
         assert_eq!(&hash, reference.as_ref().unwrap(), "{spec:?} hash");
     }
     assert!(!reference.unwrap().is_empty());
@@ -155,11 +172,26 @@ fn topk_sanity() {
     );
     let (a, b) = coauthor_pair(&xk);
     let kws = [a.as_str(), b.as_str()];
-    let all = xk.query_all(&kws, 7, ExecMode::Cached { capacity: 4096 });
+    let all = xk
+        .engine()
+        .query(&QuerySpec::all(
+            &kws,
+            7,
+            ExecMode::Cached { capacity: 4096 },
+        ))
+        .unwrap()
+        .results;
     let total = all.rows.len();
     assert!(total > 10);
     let k = 10;
-    let top = xk.query_topk(&kws, 7, k, ExecMode::Cached { capacity: 4096 }, 4);
+    let top = xk
+        .engine()
+        .query(&QuerySpec {
+            threads: 4,
+            ..QuerySpec::topk(&kws, 7, k, ExecMode::Cached { capacity: 4096 })
+        })
+        .unwrap()
+        .results;
     assert_eq!(top.rows.len(), k);
     let valid: std::collections::HashSet<Mtton> = all.rows.iter().map(|r| r.to_mtton()).collect();
     for r in &top.rows {
@@ -183,7 +215,15 @@ fn presentation_expansion_dblp() {
     let (a, b) = coauthor_pair(&xk);
     let kws = [a.as_str(), b.as_str()];
     let plans = xk.plans(&kws, 7);
-    let res = xk.query_all(&kws, 7, ExecMode::Cached { capacity: 4096 });
+    let res = xk
+        .engine()
+        .query(&QuerySpec::all(
+            &kws,
+            7,
+            ExecMode::Cached { capacity: 4096 },
+        ))
+        .unwrap()
+        .results;
     let pi = res.rows[0].plan;
     let mut pg = xk.initial_presentation(&plans, pi).expect("PG0");
     let initial = pg.len();

@@ -76,9 +76,7 @@ proptest! {
         let (xk, (a, b)) = instance(seed);
         let kws = [a.as_str(), b.as_str()];
         let plans = xk.plans(&kws, 6);
-        let res = exec::all_plans(
-            &xk.db, &xk.catalog(), &plans, ExecMode::Cached { capacity: 4096 },
-        );
+        let res = exec::execute(&xk.db, &xk.catalog(), &ExecRequest::all(&plans, Join::NestedLoop(ExecMode::Cached { capacity: 4096 }))).unwrap();
         // Group results by plan; pick one with results.
         let mut by_plan: HashMap<usize, Vec<Vec<ToId>>> = HashMap::new();
         for r in &res.rows {
@@ -124,9 +122,7 @@ proptest! {
         let (xk, (a, b)) = instance(seed);
         let kws = [a.as_str(), b.as_str()];
         let plans = xk.plans(&kws, 5);
-        let res = exec::all_plans(
-            &xk.db, &xk.catalog(), &plans, ExecMode::Cached { capacity: 4096 },
-        );
+        let res = exec::execute(&xk.db, &xk.catalog(), &ExecRequest::all(&plans, Join::NestedLoop(ExecMode::Cached { capacity: 4096 }))).unwrap();
         let mut by_plan: HashMap<usize, Vec<Vec<ToId>>> = HashMap::new();
         for r in &res.rows {
             by_plan.entry(r.plan).or_default().push(r.assignment.clone());

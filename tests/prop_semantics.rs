@@ -77,7 +77,7 @@ proptest! {
         let z = 6;
         let kws = [a.as_str(), b.as_str()];
         let got = xk
-            .query_all(&kws, z, ExecMode::Cached { capacity: 2048 })
+            .engine().query(&QuerySpec::all(&kws, z, ExecMode::Cached { capacity: 2048 })).unwrap().results
             .mttons();
         let want = enumerate_mttons(&xk.graph(), &xk.targets(), &kws, z);
         prop_assert_eq!(got, want, "keywords {:?} seed {}", kws, seed);

@@ -49,7 +49,13 @@ fn results_are_byte_identical_with_recorder_on_or_off() {
         recorder.set_enabled(false);
         let mut want = Vec::new();
         for q in QUERIES {
-            want.push(engine.query_all(q, 8, cached()).unwrap().results.rows);
+            want.push(
+                engine
+                    .query(&QuerySpec::all(q, 8, cached()))
+                    .unwrap()
+                    .results
+                    .rows,
+            );
         }
         assert_eq!(recorder.len(), 0, "a disabled recorder must stay empty");
 
@@ -57,10 +63,14 @@ fn results_are_byte_identical_with_recorder_on_or_off() {
         recorder.set_enabled(true);
         recorder.set_sample_every(1);
         for threads in [1usize, 2, 8] {
-            engine.set_exec_threads(threads);
             let mut digests = Vec::new();
             for (q, want_rows) in QUERIES.iter().zip(&want) {
-                let out = engine.query_all(q, 8, cached()).unwrap();
+                let out = engine
+                    .query(&QuerySpec {
+                        threads,
+                        ..QuerySpec::all(q, 8, cached())
+                    })
+                    .unwrap();
                 assert_eq!(
                     &out.results.rows, want_rows,
                     "rows diverged with recorder on: format={format:?} threads={threads}"
@@ -82,11 +92,10 @@ fn results_are_byte_identical_with_recorder_on_or_off() {
                 continue;
             }
             let single: Vec<u64> = {
-                engine.set_exec_threads(1);
                 QUERIES
                     .iter()
                     .map(|q| {
-                        engine.query_all(q, 8, cached()).unwrap();
+                        engine.query(&QuerySpec::all(q, 8, cached())).unwrap();
                         recorder.records().into_iter().last().unwrap().result_digest
                     })
                     .collect()
@@ -111,7 +120,10 @@ fn deadline_degraded_query_is_forced_into_the_slow_log() {
     let recorder = engine.recorder();
 
     let deadline = Duration::from_millis(250);
-    let res = engine.query_all_within(&["john", "vcr"], 8, cached(), Some(deadline));
+    let res = engine.query(&QuerySpec {
+        deadline: Some(deadline),
+        ..QuerySpec::all(&["john", "vcr"], 8, cached())
+    });
     let rec = recorder
         .records()
         .into_iter()
@@ -190,9 +202,14 @@ fn slow_queries_get_a_deferred_explain_that_decomposes_io() {
     let recorder = engine.recorder();
     recorder.set_slow_threshold_ns(1); // everything is slow
 
-    engine.query_all(&["john", "vcr"], 8, cached()).unwrap();
     engine
-        .query_topk(&["us", "vcr"], 8, 3, cached(), 2)
+        .query(&QuerySpec::all(&["john", "vcr"], 8, cached()))
+        .unwrap();
+    engine
+        .query(&QuerySpec {
+            threads: 2,
+            ..QuerySpec::topk(&["us", "vcr"], 8, 3, cached())
+        })
         .unwrap();
     let pending: Vec<u64> = recorder
         .records()
@@ -237,6 +254,39 @@ fn slow_queries_get_a_deferred_explain_that_decomposes_io() {
     }
 }
 
+/// A deferred capture re-runs the request that was recorded, not a
+/// nested-loop stand-in: a forced-slow hash query's capture has no probe
+/// operators (hash plans charge their scan I/O to the plan as a whole),
+/// the same per-plan row counts as a live EXPLAIN of the same spec, and
+/// still decomposes its own I/O totals exactly.
+#[test]
+fn deferred_explain_reruns_the_recorded_join() {
+    let xk = fig1(PostingsFormatKind::Packed, 64);
+    let engine = xk.engine();
+    let recorder = engine.recorder();
+    recorder.set_slow_threshold_ns(1); // everything is slow
+
+    let spec = QuerySpec::all_hash(&["us", "vcr"], 8);
+    engine.query(&spec).unwrap();
+    let id = recorder.records().last().unwrap().id;
+    assert_eq!(engine.capture_pending_explains(), 1);
+    let rec = recorder.records().into_iter().find(|r| r.id == id).unwrap();
+    assert_eq!((rec.path, rec.mode.label().as_str()), ("hash", "hash"));
+    let captured = rec.explain.expect("capture must attach EXPLAIN");
+
+    let live = engine.explain(&spec).unwrap();
+    let rows_out = |ps: &[xkeyword::obs::PlanProfile]| -> Vec<(usize, u64)> {
+        ps.iter().map(|p| (p.plan, p.rows_out)).collect()
+    };
+    assert_eq!(rows_out(&captured.profiles), rows_out(&live.profiles));
+    assert!(captured.profiles.iter().any(|p| p.rows_out > 0));
+    for p in &captured.profiles {
+        assert!(p.root.children.is_empty(), "probe steps in a hash capture");
+    }
+    assert_eq!(captured.io_total(), captured.io_hits + captured.io_misses);
+    assert!(captured.io_total() > 0);
+}
+
 /// The record ring is bounded: pushing far more queries than the
 /// configured capacity retains exactly `capacity` records while the
 /// appended counter keeps the true total.
@@ -248,7 +298,7 @@ fn record_ring_never_exceeds_capacity() {
     let capacity = recorder.capacity();
     let total = capacity + capacity / 2;
     for _ in 0..total {
-        engine.query_all(&["tv"], 8, cached()).unwrap();
+        engine.query(&QuerySpec::all(&["tv"], 8, cached())).unwrap();
     }
     assert_eq!(recorder.appended(), total as u64);
     assert_eq!(recorder.len(), capacity, "ring must saturate at capacity");

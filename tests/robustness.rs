@@ -14,13 +14,18 @@
 //!    and the [`Degradation`] skipped-plan count matches the metrics
 //!    the engine publishes.
 //!
+//! 4. **One contract** — which shape of request ran (join, `k`, worker
+//!    count, profiled or not) never changes how a fault, a deadline or
+//!    a retry is classified.
+//!
 //! CI runs this suite across a `{fault seed} × {exec threads}` matrix
 //! via `XKW_FAULT_SEED` / `XKW_EXEC_THREADS`; without the env vars the
 //! tests sweep both seeds and 1/2/8 threads internally.
 
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
-use xkeyword::core::exec::{try_all_plans_mt_within, ExecMode};
+use xkeyword::core::exec::{execute, execute_profiled, ExecMode};
+use xkeyword::core::optimizer::CtssnPlan;
 use xkeyword::core::prelude::*;
 use xkeyword::core::xkeyword::DecompositionSpec;
 use xkeyword::datagen::tpch;
@@ -82,7 +87,7 @@ proptest! {
         let keywords = QUERIES[qpick];
         let baseline = fig1_with(None, 4);
         let plans = baseline.plans(keywords, 8);
-        let want = try_all_plans_mt_within(&baseline.db, &baseline.catalog(), &plans, cached(), 1, None)
+        let want = execute(&baseline.db, &baseline.catalog(), &ExecRequest::all(&plans, Join::NestedLoop(cached())))
             .unwrap()
             .rows;
         for seed in fault_seeds() {
@@ -94,9 +99,7 @@ proptest! {
             let fplans = xk.plans(keywords, 8);
             prop_assert_eq!(fplans.len(), plans.len());
             for threads in exec_threads() {
-                let got = try_all_plans_mt_within(
-                    &xk.db, &xk.catalog(), &fplans, cached(), threads, None,
-                )
+                let got = execute(&xk.db, &xk.catalog(), &ExecRequest { threads, ..ExecRequest::all(&fplans, Join::NestedLoop(cached())) })
                 .unwrap();
                 prop_assert_eq!(
                     &got.rows, &want,
@@ -118,13 +121,13 @@ proptest! {
 fn transient_faults_fire_and_recover() {
     let want = fig1_with(None, 2)
         .engine()
-        .query_all(&["john", "vcr"], 8, cached())
+        .query(&QuerySpec::all(&["john", "vcr"], 8, cached()))
         .unwrap();
     let spec = FaultSpec::new(0xA5A5).rule(FaultKind::TransientRead, FaultTarget::All, 0.9);
     let xk = fig1_with(Some(spec), 2);
     let out = xk
         .engine()
-        .query_all(&["john", "vcr"], 8, cached())
+        .query(&QuerySpec::all(&["john", "vcr"], 8, cached()))
         .unwrap();
     assert_eq!(out.results.rows, want.results.rows);
     assert_eq!(out.mttons, want.mttons);
@@ -189,7 +192,7 @@ fn corruption_is_never_silent_at_the_store() {
 fn corruption_degrades_queries_without_wrong_rows() {
     let want = fig1_with(None, 2)
         .engine()
-        .query_all(&["john", "vcr"], 8, cached())
+        .query(&QuerySpec::all(&["john", "vcr"], 8, cached()))
         .unwrap();
     let xk = fig1_with(None, 2);
     let mut corrupted = Vec::new();
@@ -201,7 +204,10 @@ fn corruption_degrades_queries_without_wrong_rows() {
         }
     }
     assert!(!corrupted.is_empty(), "Figure 1 must materialize tables");
-    match xk.engine().query_all(&["john", "vcr"], 8, cached()) {
+    match xk
+        .engine()
+        .query(&QuerySpec::all(&["john", "vcr"], 8, cached()))
+    {
         Err(XkError::Store(StoreError::CorruptPage { page, .. })) => {
             assert!(corrupted.contains(&page), "error names a corrupted page");
         }
@@ -228,6 +234,111 @@ fn corruption_degrades_queries_without_wrong_rows() {
     }
 }
 
+/// Every shape of [`ExecRequest`] over `plans` — both joins × `k`
+/// none/some × the swept worker counts × profiled or not.
+fn shapes(plans: &[CtssnPlan]) -> Vec<(ExecRequest<'_>, bool)> {
+    let mut shapes = Vec::new();
+    for join in [Join::NestedLoop(cached()), Join::Hash] {
+        for k in [None, Some(5)] {
+            for threads in exec_threads() {
+                for profiled in [false, true] {
+                    let req = ExecRequest {
+                        k,
+                        threads,
+                        ..ExecRequest::all(plans, join)
+                    };
+                    shapes.push((req, profiled));
+                }
+            }
+        }
+    }
+    shapes
+}
+
+fn tag(req: &ExecRequest<'_>, profiled: bool) -> String {
+    format!(
+        "{:?} k={:?} threads={} profiled={profiled}",
+        req.join, req.k, req.threads
+    )
+}
+
+fn run_shape(
+    xk: &XKeyword,
+    req: &ExecRequest<'_>,
+    profiled: bool,
+) -> Result<QueryResults, XkError> {
+    if profiled {
+        execute_profiled(&xk.db, &xk.catalog(), req).map(|(results, _)| results)
+    } else {
+        execute(&xk.db, &xk.catalog(), req)
+    }
+}
+
+/// The fault, deadline and retry contract does not depend on the shape
+/// of the request: unrecoverable corruption that leaves no row is a
+/// typed [`XkError::Store`], a deadline that leaves no row is
+/// [`XkError::DeadlineExceeded`], and transient faults cost retries —
+/// reported in every shape — but never rows.
+#[test]
+fn one_fault_contract_for_every_request_shape() {
+    let keywords = ["john", "vcr"];
+
+    // Corruption everywhere: no plan can produce a row.
+    let xk = fig1_with(None, 2);
+    for name in xk.db.table_names() {
+        if let Some(first) = xk.db.table(&name).unwrap().first_page() {
+            xk.db.disk().corrupt_page(first);
+        }
+    }
+    let plans = xk.plans(&keywords, 8);
+    for (req, profiled) in shapes(&plans) {
+        let got = run_shape(&xk, &req, profiled);
+        assert!(
+            matches!(got, Err(XkError::Store(StoreError::CorruptPage { .. }))),
+            "{}: {:?}",
+            tag(&req, profiled),
+            got.map(|r| (r.rows.len(), r.degradation))
+        );
+    }
+
+    // A deadline already spent: again no row, in any shape.
+    let xk = fig1_with(None, 2);
+    let plans = xk.plans(&keywords, 8);
+    for (mut req, profiled) in shapes(&plans) {
+        req.deadline = Some(Duration::ZERO);
+        let got = run_shape(&xk, &req, profiled);
+        assert!(
+            matches!(got, Err(XkError::DeadlineExceeded)),
+            "{}: {:?}",
+            tag(&req, profiled),
+            got.map(|r| (r.rows.len(), r.degradation))
+        );
+    }
+
+    // Transient faults: the fault-free rows, undegraded, retries counted.
+    let clean = fig1_with(None, 2);
+    let clean_plans = clean.plans(&keywords, 8);
+    let spec = FaultSpec::new(0xA5A5).rule(FaultKind::TransientRead, FaultTarget::All, 0.9);
+    let xk = fig1_with(Some(spec), 2);
+    let plans = xk.plans(&keywords, 8);
+    for (req, profiled) in shapes(&plans) {
+        let clean_req = ExecRequest {
+            plans: &clean_plans,
+            ..req
+        };
+        let want = run_shape(&clean, &clean_req, false).unwrap();
+        assert_eq!(want.degradation.retries, 0);
+        let got = run_shape(&xk, &req, profiled).unwrap();
+        assert_eq!(got.rows, want.rows, "{}", tag(&req, profiled));
+        assert!(!got.degradation.is_degraded(), "{}", tag(&req, profiled));
+        assert!(
+            got.degradation.retries > 0,
+            "{}: recovery must report its retries",
+            tag(&req, profiled)
+        );
+    }
+}
+
 /// A tight deadline against pervasive slow-page faults comes back —
 /// degraded or as a typed timeout — within 2× the deadline, and the
 /// degradation report agrees with the engine's published metrics.
@@ -244,9 +355,10 @@ fn deadline_returns_degraded_partial_within_budget() {
 
     let deadline = Duration::from_millis(250);
     let t0 = Instant::now();
-    let res = xk
-        .engine()
-        .query_all_within(&["john", "vcr"], 8, cached(), Some(deadline));
+    let res = xk.engine().query(&QuerySpec {
+        deadline: Some(deadline),
+        ..QuerySpec::all(&["john", "vcr"], 8, cached())
+    });
     let elapsed = t0.elapsed();
     assert!(
         elapsed <= deadline * 2,

@@ -107,7 +107,7 @@ fn served_rows_byte_identical_to_in_process() {
                 // Full evaluation (k = 0 on the wire).
                 let want = xk
                     .engine()
-                    .query_all_within(kws, 8, cached(), None)
+                    .query(&QuerySpec::all(kws, 8, cached()))
                     .unwrap();
                 match client.query(&request(kws, 0)).unwrap() {
                     QueryOutcome::Results(r) => {
@@ -121,7 +121,10 @@ fn served_rows_byte_identical_to_in_process() {
                 for k in [1usize, 3, 10] {
                     let want = xk
                         .engine()
-                        .query_topk_opts(kws, 8, k, cached(), threads, None, true)
+                        .query(&QuerySpec {
+                            threads,
+                            ..QuerySpec::topk(kws, 8, k, cached())
+                        })
                         .unwrap();
                     match client.query(&request(kws, k as u32)).unwrap() {
                         QueryOutcome::Results(r) => {
@@ -134,6 +137,77 @@ fn served_rows_byte_identical_to_in_process() {
             srv.shutdown();
         }
     }
+}
+
+/// `ServerConfig::exec_threads` governs enumeration (`k = 0`) requests
+/// too, not just top-k: with the instance loaded for one worker and the
+/// server configured for two, wire rows still equal in-process rows, and
+/// the plans demonstrably ran on pool workers — their `exec.plan` spans
+/// hang off no `query.exec` span of the connection thread, as they would
+/// had the query run inline on the load-time setting.
+#[test]
+fn server_exec_threads_govern_enumeration_too() {
+    use xkeyword::obs::trace::{take_spans, FieldValue};
+    let (graph, _, _) = tpch::figure1();
+    let options = LoadOptions {
+        decomposition: DecompositionSpec::XKeyword { m: 6, b: 2 },
+        exec_threads: 1,
+        ..LoadOptions::default()
+    };
+    let xk = Arc::new(XKeyword::load(graph, tpch::tss_graph(), options).unwrap());
+    // Nothing on this engine may drain the span buffer but the test.
+    xk.engine().recorder().set_enabled(false);
+    let config = ServerConfig {
+        exec_threads: 2,
+        ..ServerConfig::default()
+    };
+    let mut srv = start(Arc::clone(&xk), "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(srv.addr()).unwrap();
+    let kws = ["us", "vcr"];
+    // z = 7 appears nowhere else in this binary: it names our spans.
+    let want = xk
+        .engine()
+        .query(&QuerySpec::all(&kws, 7, cached()))
+        .unwrap();
+    assert!(want.metrics.plans >= 2, "two workers need two plans");
+    let req = QueryRequest {
+        z: 7,
+        ..request(&kws, 0)
+    };
+    xkeyword::obs::set_enabled(true);
+    // Other tests' sampled records drain the process-wide buffer too, so
+    // a round may lose its spans; one intact round decides.
+    let mut on_workers = false;
+    for _ in 0..5 {
+        match client.query(&req).unwrap() {
+            QueryOutcome::Results(r) => assert_rows_match(&r.rows, &want.results.rows, "k=0"),
+            QueryOutcome::Error(e) => panic!("unexpected error {e:?}"),
+        }
+        let spans = take_spans();
+        let Some(query) = spans
+            .iter()
+            .find(|s| s.name == "query" && s.fields.contains(&("z", FieldValue::U64(7))))
+        else {
+            continue;
+        };
+        let Some(exec) = spans
+            .iter()
+            .find(|s| s.name == "query.exec" && s.parent == Some(query.id))
+        else {
+            continue;
+        };
+        let plans = || spans.iter().filter(|s| s.name == "exec.plan");
+        assert!(
+            plans().all(|s| s.parent != Some(exec.id)),
+            "enumeration ran inline on the connection thread"
+        );
+        on_workers = plans().any(|s| s.parent.is_none() && s.tid != exec.tid);
+        if on_workers {
+            break;
+        }
+    }
+    assert!(on_workers, "no round showed plans on pool workers");
+    srv.shutdown();
 }
 
 /// Pages follow `next_offset` over the stable result order and
